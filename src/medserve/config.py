@@ -1,10 +1,9 @@
 """Service configuration: one versioned JSON document drives everything.
 
-The packaged defaults carry the standard fine-tuning hyperparameters
-(adapter rank 16 with scale 32, learning-rate range 1e-5 to 5e-5, batch
-size 64 over 3 epochs) alongside cache, hardware, workload, engine, and
-deployment-mode settings. Unknown schema versions and missing required
-keys are rejected with the offending key named.
+The packaged defaults carry cache, quantization, hardware, workload,
+engine, and deployment-mode settings. Unknown schema versions and missing
+required keys are rejected with the offending key named; unknown sections
+are ignored.
 """
 
 from __future__ import annotations
@@ -29,20 +28,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LoraDefaults:
-    rank: int = 16
-    alpha: int = 32
-
-
-@dataclass(frozen=True)
-class DistillDefaults:
-    lr_min: float = 1e-5
-    lr_max: float = 5e-5
-    batch_size: int = 64
-    epochs: int = 3
 
 
 @dataclass(frozen=True)
@@ -83,8 +68,6 @@ class ServiceConfig:
     lexicon_path: str | None
     templates_path: str | None
     cache: CacheSettings
-    lora: LoraDefaults
-    distill: DistillDefaults
     quantization: PrecisionPolicy
     hardware: HardwareEnv
     workload: WorkloadProfile
@@ -127,19 +110,6 @@ def _parse(doc: dict) -> ServiceConfig:
                 tau=float(cache_doc.get("tau", 0.92)),
             ),
             disk_dir=cache_doc.get("disk_dir"),
-        )
-
-        lora_doc = doc.get("lora", {})
-        lora = LoraDefaults(
-            rank=int(lora_doc.get("rank", 16)),
-            alpha=int(lora_doc.get("alpha", 32)),
-        )
-        distill_doc = doc.get("distill", {})
-        distill = DistillDefaults(
-            lr_min=float(distill_doc.get("lr_min", 1e-5)),
-            lr_max=float(distill_doc.get("lr_max", 5e-5)),
-            batch_size=int(distill_doc.get("batch_size", 64)),
-            epochs=int(distill_doc.get("epochs", 3)),
         )
 
         quant_doc = doc.get("quantization", {})
@@ -230,8 +200,6 @@ def _parse(doc: dict) -> ServiceConfig:
         lexicon_path=doc.get("lexicon_path"),
         templates_path=doc.get("templates_path"),
         cache=cache,
-        lora=lora,
-        distill=distill,
         quantization=quantization,
         hardware=hardware,
         workload=workload,

@@ -5,6 +5,13 @@ by its absolute maximum. NF4 blocks store 4-bit indices into a 16-level
 codebook placed at standard-normal quantiles; INT8 blocks store symmetric
 absmax codes. A precision policy maps layer classes to bit widths, and the
 memory planner prices a model manifest against the FP16 baseline.
+
+Exactness contract: codes are computed in float64 on the whole padded block
+array at once; scales are stored as float32, so a tensor whose absmax exceeds
+the float32 range is rejected. An NF4 value equidistant from two levels takes
+the lower index, as a first-minimum argmin over all 16 distances would. The
+literal per-element loops in tests/oracles.py (nearest_level_codes,
+int8_codes) are the reference the array path is tested against.
 """
 
 from __future__ import annotations
@@ -128,64 +135,14 @@ class QuantizedTensor:
         if self.kind not in ("nf4", "int8"):
             raise ValueError(f"unknown quantization kind {self.kind!r}")
         n = int(np.prod(self.shape))
+        data_len = (n + 1) // 2 if self.kind == "nf4" else n
+        if len(self.data) != data_len:
+            raise ValueError(f"expected {data_len} {self.kind} code bytes, got {len(self.data)}")
         expected = (n + self.block_size - 1) // self.block_size
         if self.scales.shape != (expected,):
             raise ValueError(f"expected {expected} scales, got {self.scales.shape}")
         if np.any(self.scales < 0):
             raise ValueError("scales must be non-negative")
-
-
-def _check_block(block: np.ndarray) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64).ravel()
-    if block.size == 0:
-        raise ValueError("block must be non-empty")
-    if not np.all(np.isfinite(block)):
-        raise ValueError("block contains non-finite values")
-    return block
-
-
-def quantize_block_nf4(block, levels: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Map a block to nearest-codebook indices under absmax scaling.
-
-    scale = max|block| (zero allowed: everything maps to the exact-zero
-    level). Distance ties go to the lower level index.
-    """
-    block = _check_block(block)
-    if levels is None:
-        levels = nf4_levels()
-    scale = float(np.max(np.abs(block)))
-    if scale == 0.0:
-        zero_code = int(np.argmin(np.abs(levels)))
-        return np.full(block.size, zero_code, dtype=np.uint8), 0.0
-    normalized = block / scale
-    # argmin over explicit distances: first minimum = lower index on ties
-    dist = np.abs(normalized[:, None] - levels[None, :])
-    codes = np.argmin(dist, axis=1).astype(np.uint8)
-    return codes, scale
-
-
-def quantize_block_int8(block) -> tuple[np.ndarray, float]:
-    """Symmetric absmax int8: codes in [-127, 127], absmax maps to +-127."""
-    block = _check_block(block)
-    scale = float(np.max(np.abs(block)))
-    if scale == 0.0:
-        return np.zeros(block.size, dtype=np.int8), 0.0
-    codes = np.clip(np.round(block / scale * 127.0), -127, 127).astype(np.int8)
-    return codes, scale
-
-
-def dequantize_block(codes: np.ndarray, scale: float, kind: str,
-                     levels: np.ndarray | None = None) -> np.ndarray:
-    if kind == "nf4":
-        if levels is None:
-            levels = nf4_levels()
-        codes = np.asarray(codes)
-        if np.any(codes > 15):
-            raise ValueError("nf4 code out of range")
-        return levels[codes.astype(np.intp)] * scale
-    if kind == "int8":
-        return np.asarray(codes, dtype=np.float64) * scale / 127.0
-    raise ValueError(f"unknown quantization kind {kind!r}")
 
 
 def pack_nf4(codes: np.ndarray) -> bytes:
@@ -207,29 +164,40 @@ def unpack_nf4(data: bytes, count: int) -> np.ndarray:
 
 
 def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedTensor:
-    """Blockwise quantization of an arbitrary-shape array."""
+    """Blockwise quantization of an arbitrary-shape array.
+
+    The flat tensor is zero-padded to (nblocks, block_size); the padding
+    leaves each row's absmax unchanged and its codes are dropped.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    flat = arr.ravel()
-    if flat.size == 0:
+    if arr.size == 0:
         raise ValueError("cannot quantize an empty tensor")
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
-    scales = []
-    codes_parts = []
-    for start in range(0, flat.size, block_size):
-        block = flat[start:start + block_size]
-        if kind == "nf4":
-            codes, scale = quantize_block_nf4(block)
-        elif kind == "int8":
-            codes, scale = quantize_block_int8(block)
-        else:
-            raise ValueError(f"unknown quantization kind {kind!r}")
-        codes_parts.append(codes)
-        scales.append(scale)
-    all_codes = np.concatenate(codes_parts)
-    data = pack_nf4(all_codes) if kind == "nf4" else all_codes.astype(np.int8).tobytes()
+    if kind not in ("nf4", "int8"):
+        raise ValueError(f"unknown quantization kind {kind!r}")
+    if block_size < 1:
+        raise ValueError("block size must be >= 1")
+    n = arr.size
+    blocks = np.zeros((-(-n // block_size), block_size))
+    blocks.reshape(-1)[:n] = arr.reshape(-1)
+    scales = np.abs(blocks).max(axis=1)
+    if np.any(scales > np.finfo(np.float32).max):
+        raise ValueError("tensor absmax exceeds the float32 scale range")
+    # all-zero rows divide by 1 and so land on the exact-zero level / code
+    blocks /= np.where(scales > 0.0, scales, 1.0)[:, None]
+    if kind == "nf4":
+        levels = nf4_levels()
+        hi = np.searchsorted(levels, blocks)
+        hi = np.clip(hi, 1, len(levels) - 1, out=hi).astype(np.uint8)
+        # the nearest level is hi - 1 or hi; <= keeps the lower index on ties
+        codes = hi - (np.abs(levels[hi - 1] - blocks) <= np.abs(levels[hi] - blocks))
+        data = pack_nf4(codes.reshape(-1)[:n])
+    else:
+        codes = np.clip(np.round(blocks * 127.0), -127, 127).astype(np.int8)
+        data = codes.reshape(-1)[:n].tobytes()
     return QuantizedTensor(
-        kind=kind, data=data, scales=np.array(scales, dtype=np.float32),
+        kind=kind, data=data, scales=scales.astype(np.float32),
         shape=arr.shape, block_size=block_size,
     )
 
@@ -237,17 +205,17 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Inverse of quantize_tensor; restores the original shape."""
     n = int(np.prod(qt.shape))
+    out = np.zeros(qt.scales.size * qt.block_size)
     if qt.kind == "nf4":
-        codes = unpack_nf4(qt.data, n)
+        # nibbles are 0..15, so "clip" never clips; it just lets take() skip a buffer
+        np.take(nf4_levels(), unpack_nf4(qt.data, n), out=out[:n], mode="clip")
     else:
-        codes = np.frombuffer(qt.data, dtype=np.int8)[:n]
-    out = np.empty(n, dtype=np.float64)
-    for i, start in enumerate(range(0, n, qt.block_size)):
-        stop = min(start + qt.block_size, n)
-        out[start:stop] = dequantize_block(
-            codes[start:stop], float(qt.scales[i]), qt.kind
-        )
-    return out.reshape(qt.shape)
+        out[:n] = np.frombuffer(qt.data, dtype=np.int8)
+    blocks = out.reshape(qt.scales.size, qt.block_size)
+    blocks *= qt.scales.astype(np.float64)[:, None]
+    if qt.kind == "int8":
+        blocks /= 127.0
+    return out[:n].reshape(qt.shape)
 
 
 @dataclass(frozen=True)
@@ -374,11 +342,12 @@ def write_checkpoint(path, manifest: ModelManifest, policy: PrecisionPolicy,
     plan = apply_policy(manifest, policy)
     segments = []
     table = []
-    for layer_plan in plan.layers:
-        w = np.asarray(weights[layer_plan.name], dtype=np.float64)
-        spec = next(l for l in manifest.layers if l.name == layer_plan.name)
+    for spec, layer_plan in zip(manifest.layers, plan.layers):
+        if spec.name not in weights:
+            raise ValueError(f"{spec.name}: no weight given for this layer")
+        w = np.asarray(weights[spec.name], dtype=np.float64)
         if w.size != spec.params:
-            raise ValueError(f"{layer_plan.name}: weight size {w.size} != manifest {spec.params}")
+            raise ValueError(f"{spec.name}: weight size {w.size} != manifest {spec.params}")
         if layer_plan.bits == 16:
             codes = w.astype("<f2").tobytes()
             scales = b""
@@ -415,9 +384,18 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a quantized checkpoint")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint: no header length")
     (header_len,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     offset = 12 + header_len
+    if offset > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint: header runs past end of file")
+    header = json.loads(blob[12:offset].decode("utf-8"))
+    segments = sum(e["codes_len"] + e["scales_len"] for e in header["layers"])
+    if segments != len(blob) - offset:
+        raise ValueError(
+            f"{path}: segments total {segments} bytes but {len(blob) - offset} follow the header"
+        )
     weights = {}
     for entry in header["layers"]:
         codes = blob[offset:offset + entry["codes_len"]]

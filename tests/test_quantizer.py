@@ -1,12 +1,14 @@
 """Tests for NF4/INT8 quantization, packing, policy planning, and the
 checkpoint container."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medserve.quantizer import (
     NF4_LEVELS,
@@ -17,22 +19,49 @@ from medserve.quantizer import (
     QuantizedTensor,
     apply_policy,
     dequantize,
-    dequantize_block,
     load_manifest,
     nf4_levels,
     pack_nf4,
     quant_error_report,
-    quantize_block_int8,
-    quantize_block_nf4,
     quantize_tensor,
     read_checkpoint,
     synthetic_7b_manifest,
     unpack_nf4,
     write_checkpoint,
 )
-from oracles import nearest_level_codes
+from oracles import int8_codes, nearest_level_codes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def quantize_one_block(values, kind):
+    """Quantize values as a single block: (codes, scale, dequantized)."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    qt = quantize_tensor(values, kind, block_size=values.size)
+    if kind == "nf4":
+        codes = unpack_nf4(qt.data, values.size)
+    else:
+        codes = np.frombuffer(qt.data, dtype=np.int8)
+    return codes, float(qt.scales[0]), dequantize(qt)
+
+
+def _tie_values() -> list[float]:
+    """Values within a few ulps of each NF4 midpoint that sit at exactly equal
+    float64 distance from both neighbouring levels."""
+    levels = nf4_levels()
+    ties = []
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        v = (lo + hi) / 2
+        for _ in range(40):
+            v = np.nextafter(v, -2.0)
+        for _ in range(80):
+            if abs(v - lo) == abs(v - hi):
+                ties.append(float(v))
+            v = np.nextafter(v, 2.0)
+    return ties
+
+
+TIE_VALUES = _tie_values()
 
 
 class TestNF4Levels:
@@ -60,18 +89,18 @@ class TestNF4Levels:
 
 class TestBlockQuantization:
     def test_constant_block_hits_top_level(self):
-        codes, scale = quantize_block_nf4(np.array([2.5, 2.5, 2.5]))
+        codes, scale, restored = quantize_one_block([2.5, 2.5, 2.5], "nf4")
         assert scale == 2.5
         assert list(codes) == [15, 15, 15]
-        assert np.allclose(dequantize_block(codes, scale, "nf4"), 2.5)
+        assert np.allclose(restored, 2.5)
 
     def test_zero_block(self):
-        codes, scale = quantize_block_nf4(np.zeros(4))
+        codes, scale, restored = quantize_one_block(np.zeros(4), "nf4")
         assert scale == 0.0
-        assert np.all(dequantize_block(codes, scale, "nf4") == 0.0)
+        assert np.all(restored == 0.0)
 
     def test_negative_absmax_and_half(self):
-        codes, scale = quantize_block_nf4(np.array([-2.0, 1.0]))
+        codes, scale, _ = quantize_one_block([-2.0, 1.0], "nf4")
         assert scale == 2.0
         assert codes[0] == 0  # -2 / 2 = -1.0 exactly, the bottom level
         expected = nearest_level_codes([0.5], list(nf4_levels()))[0]
@@ -82,31 +111,31 @@ class TestBlockQuantization:
         levels = list(nf4_levels())
         for _ in range(50):
             block = rng.normal(size=int(rng.integers(1, 65)))
-            codes, scale = quantize_block_nf4(block)
-            expected = nearest_level_codes(list(block / scale), levels)
+            codes, _, _ = quantize_one_block(block, "nf4")
+            # codes come from the float64 absmax; the stored scale is float32
+            expected = nearest_level_codes(list(block / np.abs(block).max()), levels)
             assert list(codes) == expected
 
     def test_int8_zeros(self):
-        codes, scale = quantize_block_int8(np.zeros(3))
+        codes, scale, _ = quantize_one_block(np.zeros(3), "int8")
         assert scale == 0.0
         assert np.all(codes == 0)
 
     def test_int8_absmax_is_127(self):
-        codes, scale = quantize_block_int8(np.array([-1.0, 0.5, 1.0]))
+        codes, scale, restored = quantize_one_block([-1.0, 0.5, 1.0], "int8")
         assert scale == 1.0
         assert codes[0] == -127
         assert codes[2] == 127
         assert codes[1] in (63, 64)
-        err = np.abs(dequantize_block(codes, scale, "int8") - np.array([-1.0, 0.5, 1.0]))
+        err = np.abs(restored - np.array([-1.0, 0.5, 1.0]))
         assert np.all(err <= scale / 254 + 1e-12)
 
     def test_int8_matches_bruteforce_oracle(self):
-        from oracles import int8_codes
-
         rng = np.random.default_rng(11)
         for _ in range(20):
             block = rng.normal(size=int(rng.integers(1, 33)))
-            codes, scale = quantize_block_int8(block)
+            codes, _, _ = quantize_one_block(block, "int8")
+            scale = np.abs(block).max()
             expected = int8_codes(list(block), scale)
             # np.round is banker's rounding; exact .5 boundaries may differ by
             # one code with identical error, so compare reconstruction error.
@@ -116,7 +145,87 @@ class TestBlockQuantization:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            quantize_block_nf4(np.array([1.0, np.inf]))
+            quantize_tensor(np.array([1.0, np.inf]), "nf4")
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_bad_block_size_rejected(self, block_size):
+        with pytest.raises(ValueError, match="block size"):
+            quantize_tensor(np.ones(3), "nf4", block_size)
+
+    def test_absmax_beyond_float32_rejected(self):
+        with pytest.raises(ValueError, match="float32"):
+            quantize_tensor(np.array([1e39]), "int8")
+        with pytest.raises(ValueError, match="float32"):
+            quantize_tensor(np.array([0.5, -1e39, 2.0]), "nf4", block_size=2)
+        quantize_tensor(np.array([float(np.finfo(np.float32).max)]), "nf4")
+
+
+@st.composite
+def blocked_tensors(draw):
+    """(tensor, block_size) with random shape and block size, optional all-zero
+    blocks, short tail blocks, and values at exact NF4 level midpoints."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    n = int(np.prod(shape))
+    block_size = draw(st.integers(1, 130))
+    exponent = draw(st.integers(-60, 60))
+    special = [0.0, 1.0] + list(NF4_LEVELS) + TIE_VALUES
+    special += [-v for v in special]
+    values = draw(st.lists(
+        st.one_of(st.floats(-1.0, 1.0, allow_subnormal=False), st.sampled_from(special)),
+        min_size=n, max_size=n,
+    ))
+    x = np.array(values) * 2.0 ** exponent
+    if draw(st.booleans()):
+        x[::block_size] = 2.0 ** exponent  # absmax 1 after scaling: ties stay exact
+    zero_block = draw(st.integers(0, (n - 1) // block_size))
+    if draw(st.booleans()):
+        x[zero_block * block_size:(zero_block + 1) * block_size] = 0.0
+    return x.reshape(shape), block_size
+
+
+class TestArrayPathMatchesOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(blocked_tensors())
+    def test_nf4_block_by_block(self, case):
+        x, block_size = case
+        qt = quantize_tensor(x, "nf4", block_size)
+        codes = unpack_nf4(qt.data, x.size)
+        restored = dequantize(qt).ravel()
+        levels = nf4_levels()
+        flat = x.ravel()
+        for b, start in enumerate(range(0, flat.size, block_size)):
+            block = flat[start:start + block_size]
+            scale = np.abs(block).max()
+            expected = nearest_level_codes(list(block / (scale or 1.0)), list(levels))
+            assert list(codes[start:start + block_size]) == expected
+            assert qt.scales[b] == np.float32(scale)
+            want = levels[expected] * np.float64(qt.scales[b])
+            assert restored[start:start + block_size].tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(blocked_tensors())
+    def test_int8_block_by_block(self, case):
+        x, block_size = case
+        qt = quantize_tensor(x, "int8", block_size)
+        codes = np.frombuffer(qt.data, dtype=np.int8).astype(np.int64)
+        restored = dequantize(qt).ravel()
+        flat = x.ravel()
+        for b, start in enumerate(range(0, flat.size, block_size)):
+            block = flat[start:start + block_size]
+            ours = codes[start:start + block_size]
+            scale = np.abs(block).max()
+            assert qt.scales[b] == np.float32(scale)
+            if scale == 0.0:
+                assert np.all(ours == 0)  # every code reconstructs 0 exactly
+            else:
+                expected = np.array(int8_codes(list(block), scale))
+                # a value at a code midpoint can round either way: equal error
+                assert np.all(np.abs(ours - expected) <= 1)
+                err = np.abs(ours * scale / 127.0 - block)
+                oracle = np.abs(expected * scale / 127.0 - block)
+                assert np.all(err <= oracle + 1e-12 * scale)
+            want = ours.astype(np.float64) * np.float64(qt.scales[b]) / 127.0
+            assert restored[start:start + block_size].tobytes() == want.tobytes()
 
 
 class TestPacking:
@@ -183,10 +292,20 @@ class TestTensorRoundTrip:
         )
         dequantize(qt)
         # a lone 0xff byte decodes to two nibbles 15,15; only the first is
-        # used, which is in range -- craft a genuinely bad unpacked code
+        # used, which is in range: unpacked codes cannot exceed 15, so the
+        # range check lives where codes enter a byte, in pack_nf4
         with pytest.raises(ValueError):
-            dequantize_block(np.array([16]), 1.0, "nf4")
+            pack_nf4(np.array([16]))
         assert dequantize(bad).shape == (1,)
+
+    @pytest.mark.parametrize("kind,length", [("nf4", 1), ("nf4", 3), ("int8", 2), ("int8", 4)])
+    def test_code_length_checked(self, kind, length):
+        # three values need exactly 2 nf4 bytes or 3 int8 bytes
+        with pytest.raises(ValueError, match="code bytes"):
+            QuantizedTensor(
+                kind=kind, data=bytes(length),
+                scales=np.array([1.0], dtype=np.float32), shape=(3,), block_size=64,
+            )
 
 
 class TestNF4Superiority:
@@ -319,6 +438,58 @@ class TestCheckpointContainer:
             kind = "nf4" if policy.bits[layer.layer_class] == 4 else "int8"
             qt = quantize_tensor(weights[layer.name], kind, 16)
             assert np.allclose(restored[layer.name], dequantize(qt))
+
+    @staticmethod
+    def _pinned_case():
+        manifest = ModelManifest((
+            LayerSpec("embed", LayerClass.EMBEDDING, (37, 11)),
+            LayerSpec("attn", LayerClass.ATTENTION, (13, 9)),
+            LayerSpec("ffn", LayerClass.FEEDFORWARD, (5, 7, 3)),
+            LayerSpec("head", LayerClass.OUTPUT, (3, 10)),
+        ))
+        policy = PrecisionPolicy(bits={
+            LayerClass.ATTENTION: 8, LayerClass.FEEDFORWARD: 4,
+            LayerClass.EMBEDDING: 4, LayerClass.OUTPUT: 16,
+        }, block_size=24)
+        rng = np.random.default_rng(2024)
+        weights = {l.name: rng.normal(size=l.shape) for l in manifest.layers}
+        weights["ffn"].reshape(-1)[24:48] = 0.0  # an all-zero nf4 block
+        weights["attn"].reshape(-1)[:24] = 0.0  # an all-zero int8 block
+        return manifest, policy, weights
+
+    def test_bytes_pinned(self, tmp_path):
+        # digest of the per-block reference implementation's output; every
+        # layer has a short tail block and the fp16 path is included
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, *self._pinned_case())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "05e4aceb78d653ff6fae12cfc09931d119da2e75b8a15d609cc5bc6d963067eb"
+
+    def test_missing_weight_named(self, tmp_path):
+        manifest, policy, weights = self._pinned_case()
+        del weights["ffn"]
+        with pytest.raises(ValueError, match="ffn"):
+            write_checkpoint(tmp_path / "model.msq", manifest, policy, weights)
+
+    def _written(self, tmp_path) -> bytes:
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, *self._pinned_case())
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cut", ["prefix", "header", "segments", "trailing"])
+    def test_truncated_or_overlong_rejected(self, tmp_path, cut):
+        blob = self._written(tmp_path)
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        bad = {
+            "prefix": blob[:10],
+            "header": blob[:header_end - 1],
+            "segments": blob[:-1],
+            "trailing": blob + b"\x00",
+        }[cut]
+        path = tmp_path / "bad.msq"
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="bad.msq"):
+            read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.msq"

@@ -24,6 +24,7 @@ from medserve.engines import (
     mock_engine_generate,
     remote_engine_generate,
 )
+from medserve.quantizer import PrecisionPolicy
 from medserve.service import BadRequest, EngineFailure, MedService, make_server
 
 
@@ -37,14 +38,17 @@ def config(tmp_path):
 
 
 class TestConfig:
-    def test_packaged_defaults_load(self):
+    def test_packaged_defaults_load(self, tmp_path):
         cfg = load_config()
-        assert cfg.lora.rank == 16
-        assert cfg.lora.alpha == 32
-        assert cfg.distill.lr_min == 1e-5
-        assert cfg.distill.lr_max == 5e-5
-        assert cfg.distill.batch_size == 64
-        assert cfg.distill.epochs == 3
+        assert cfg.cache.capacity == 128
+        assert cfg.quantization == PrecisionPolicy()
+        # configs written with the retired lora/distill sections still load
+        doc = json.loads(default_config_path().read_text())
+        doc["lora"] = {"rank": 16, "alpha": 32}
+        doc["distill"] = {"lr_min": 1e-5, "lr_max": 5e-5, "batch_size": 64, "epochs": 3}
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path) == cfg
 
     def test_missing_required_key_named(self, tmp_path):
         doc = json.loads(default_config_path().read_text())
