@@ -1,11 +1,14 @@
-"""Two-tier response cache with exact and semantic lookup.
+"""Response cache: one entry store, a memory LRU tier, and a disk log.
 
-A bounded in-memory LRU tier fronts an append-only disk log. Lookups try an
-exact text match first (memory, then disk index), then fall back to the
-best semantic match whose blended similarity (token-set Jaccard plus cosine
-over feature-hashed bag-of-token embeddings) clears the acceptance
-threshold. Every insert is persisted, so memory evictions lose nothing, and
-recovery after a crash replays the longest consistent prefix of the log.
+Entries live in one store keyed by query text, in first-insert (log) order;
+the memory tier is a `capacity`-bounded LRU order over its keys, and a stored
+entry outside that order is a disk-tier entry. Lookups try an exact text
+match first, then the best semantic match (memory before disk) whose blended
+similarity (token-set Jaccard plus cosine over feature-hashed bag-of-token
+embeddings) clears the acceptance threshold. An entry inserted while the log
+is usable is persisted, so its memory eviction loses nothing; one inserted
+in memory-only or degraded mode is never written and is dropped on eviction.
+Recovery after a crash replays the longest consistent prefix of the log.
 
 Disk appends run on a background writer thread; inserts are acknowledged
 after the memory write and a close() flush barrier drains the queue.
@@ -229,7 +232,7 @@ _CLOSE = object()
 
 
 class TwoLevelCache:
-    """Memory LRU over a persistent disk tier with semantic fallback lookup."""
+    """One entry store: a memory LRU tier over a persistent disk tier."""
 
     def __init__(self, capacity: int, disk_dir=None,
                  config: SimilarityConfig | None = None):
@@ -239,10 +242,11 @@ class TwoLevelCache:
         self.config = config or SimilarityConfig()
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._disk_index: dict[str, CacheEntry] = {}
+        self._entries: dict[str, CacheEntry] = {}  # first-insert (log) order
+        self._lru: OrderedDict[str, None] = OrderedDict()
+        self._unlogged: set[str] = set()
         self._log: DiskLog | None = None
-        self.degraded = False
+        self.degraded = disk_dir is None
         self._queue: queue.Queue = queue.Queue()
         self._writer: threading.Thread | None = None
         if disk_dir is not None:
@@ -252,14 +256,11 @@ class TwoLevelCache:
                 log.warning("disk tier unavailable (%s); running memory-only", exc)
                 self.degraded = True
             else:
-                for entry in self._log.entries:
-                    self._disk_index[entry.query] = entry
+                self._entries = {e.query: e for e in self._log.entries}
                 self._writer = threading.Thread(
                     target=self._writer_loop, name="cache-writer", daemon=True
                 )
                 self._writer.start()
-        else:
-            self.degraded = True
 
     # -- write path ---------------------------------------------------
 
@@ -284,53 +285,50 @@ class TwoLevelCache:
         recency: the hit count survives and the log does not grow.
         """
         with self._lock:
-            existing = self._memory.get(query) or self._disk_index.get(query)
-            if existing is not None and existing.response == response:
-                self._touch(existing)
-                return
-            entry = CacheEntry.build(query, response, category)
-            self._touch(entry)
-            self.stats.inserts += 1
-            if self._log is not None and not self.degraded:
-                self._disk_index[query] = entry
-                self._queue.put(entry)
+            existing = self._entries.get(query)
+            if existing is None or existing.response != response:
+                entry = CacheEntry.build(query, response, category)
+                self._entries[query] = entry
+                self.stats.inserts += 1
+                if self._log is not None and not self.degraded:
+                    self._queue.put(entry)
+                else:
+                    self._unlogged.add(query)
+            self._touch(query)
 
-    def _touch(self, entry: CacheEntry):
-        """Put an entry at the MRU end of the memory tier, evicting as needed."""
-        self._memory[entry.query] = entry
-        self._memory.move_to_end(entry.query)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
+    def _touch(self, query: str):
+        """Put a key at the MRU end of the memory tier, evicting as needed."""
+        self._lru[query] = None
+        self._lru.move_to_end(query)
+        while len(self._lru) > self.capacity:
+            evicted, _ = self._lru.popitem(last=False)
             self.stats.evictions += 1
+            if evicted in self._unlogged:
+                self._unlogged.remove(evicted)
+                del self._entries[evicted]
 
     # -- read path ----------------------------------------------------
 
     def lookup(self, query: str) -> CacheHit | None:
-        """Exact match first (memory then disk), then best semantic match.
+        """Exact match first, then best semantic match (memory then disk).
 
         A memory-tier semantic match that clears tau short-circuits the disk
         scan. Hits promote the entry to the memory MRU position.
         """
-        tokens = frozenset(tokenize(query))
-        vec = embed(query)
         with self._lock:
-            entry = self._memory.get(query)
+            entry = self._entries.get(query)
             if entry is not None:
-                return self._hit(entry, "memory", 1.0)
-            entry = self._disk_index.get(query)
-            if entry is not None:
-                return self._hit(entry, "disk", 1.0)
-
-            best = self._best_semantic(self._memory.values(), tokens, vec)
-            if best is not None:
-                return self._hit(best[0], "memory", best[1])
-            disk_only = (
-                e for q, e in self._disk_index.items() if q not in self._memory
+                return self._hit(entry, "memory" if query in self._lru else "disk", 1.0)
+            tokens = frozenset(tokenize(query))
+            vec = embed(query)
+            tiers = (
+                ("memory", map(self._entries.__getitem__, self._lru)),
+                ("disk", (e for q, e in self._entries.items() if q not in self._lru)),
             )
-            best = self._best_semantic(disk_only, tokens, vec)
-            if best is not None:
-                return self._hit(best[0], "disk", best[1])
-
+            for tier, entries in tiers:
+                best = self._best_semantic(entries, tokens, vec)
+                if best is not None:
+                    return self._hit(best[0], tier, best[1])
             self.stats.misses += 1
             return None
 
@@ -353,7 +351,7 @@ class TwoLevelCache:
             self.stats.memory_hits += 1
         else:
             self.stats.disk_hits += 1
-        self._touch(entry)
+        self._touch(entry.query)
         return CacheHit(response=entry.response, tier=tier, similarity=sim,
                         category=entry.category)
 

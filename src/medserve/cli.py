@@ -168,8 +168,8 @@ def _cmd_place(args) -> int:
         print("placement infeasible: total weights exceed device capacities")
         return EXIT_RUNTIME
     print(f"mode: {plan.mode}")
-    for layer in sorted(plan.assignment, key=lambda l: [x.order for x in layers if x.id == l][0]):
-        print(f"  {layer} -> {plan.assignment[layer]}")
+    for layer, device in plan.assignment.items():  # already in layer order
+        print(f"  {layer} -> {device}")
     print(f"predicted latency: {plan.latency:.6e} s/token")
     for dev, used in plan.memory_per_device.items():
         print(f"  {dev}: {used} bytes used")

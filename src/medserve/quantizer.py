@@ -283,6 +283,8 @@ def quant_error_report(weights: dict[str, np.ndarray], manifest: ModelManifest,
     plan = apply_policy(manifest, policy)
     rows = []
     for layer_plan in plan.layers:
+        if layer_plan.name not in weights:
+            raise ValueError(f"{layer_plan.name}: no weight given for this layer")
         w = np.asarray(weights[layer_plan.name], dtype=np.float64)
         if layer_plan.bits == 16:
             mse = 0.0
@@ -335,6 +337,7 @@ def load_manifest(path) -> ModelManifest:
 # length, UTF-8 JSON header (manifest digest, policy, block size, per-layer
 # segment table), then the per-layer code and scale segments in table order.
 CHECKPOINT_MAGIC = b"MSQCKPT1"
+F16_MAX = float(np.finfo(np.float16).max)  # 65504; 16-bit layers are stored as float16
 
 
 def write_checkpoint(path, manifest: ModelManifest, policy: PrecisionPolicy,
@@ -349,6 +352,10 @@ def write_checkpoint(path, manifest: ModelManifest, policy: PrecisionPolicy,
         if w.size != spec.params:
             raise ValueError(f"{spec.name}: weight size {w.size} != manifest {spec.params}")
         if layer_plan.bits == 16:
+            # NaN fails the compare too; float16 would store inf or NaN.
+            if not np.all(np.abs(w) <= F16_MAX):
+                raise ValueError(f"{spec.name}: weight is non-finite or beyond "
+                                 f"the float16 range (+-{F16_MAX:g})")
             codes = w.astype("<f2").tobytes()
             scales = b""
         else:

@@ -411,20 +411,8 @@ def simulate_batching(requests, capacity: int, policy: str = "continuous",
         raise ValueError(f"unknown policy {policy!r}")
     state = BatchState(capacity=capacity)
     pending = deque(requests)
+    held_back = deque()  # static batching admits nothing while a batch runs
     while pending or state.active:
-        if policy == "continuous":
-            continuous_batch_step(state, pending, cost)
-        else:
-            if not state.active:
-                while pending and len(state.active) < capacity:
-                    req = pending.popleft()
-                    state.active[req.id] = req.output_tokens
-            emitted = list(state.active)
-            state.elapsed += cost.base + cost.per_active * len(emitted)
-            state.tick += 1
-            for rid in emitted:
-                state.active[rid] -= 1
-                if state.active[rid] == 0:
-                    del state.active[rid]
-                    state.completions[rid] = state.elapsed
+        admitting = policy == "continuous" or not state.active
+        continuous_batch_step(state, pending if admitting else held_back, cost)
     return state

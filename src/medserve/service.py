@@ -31,6 +31,8 @@ from .runtime import PlanCache, decide_mode, select_engine, shape_bucket
 
 log = logging.getLogger(__name__)
 
+MAX_BODY_BYTES = 64 * 1024
+
 
 class BadRequest(ValueError):
     """Client-side error; maps to HTTP 400."""
@@ -135,29 +137,22 @@ class MedService:
 
         hit = self.cache.lookup(text)
         if hit is not None:
-            return QueryResponse(
-                answer=hit.response,
-                category=category,
-                cache_tier=hit.tier,
-                latency_ms=(time.perf_counter() - start) * 1000.0,
-                engine_id=self.engine_id,
-                mode=self.mode,
-                simulated_ms=0.0,
+            answer, tier, delay_s = hit.response, hit.tier, 0.0
+        else:
+            prompt = build_prompt(classified, self.templates)
+            key = shape_bucket(
+                max(len(tokenize(prompt)), 1), 1, self.config.runtime.plan_bucket
             )
-
-        prompt = build_prompt(classified, self.templates)
-        key = shape_bucket(
-            max(len(tokenize(prompt)), 1), 1, self.config.runtime.plan_bucket
-        )
-        self.plans.get_or_build(key, self._build_plan)
-        answer, delay_s = self._generate(prompt, category)
-        # Insert only after a successful generation so backend failures
-        # cannot poison the cache.
-        self.cache.insert(text, answer, category)
+            self.plans.get_or_build(key, self._build_plan)
+            answer, delay_s = self._generate(prompt, category)
+            tier = "miss"
+            # Insert only after a successful generation so backend failures
+            # cannot poison the cache.
+            self.cache.insert(text, answer, category)
         return QueryResponse(
             answer=answer,
             category=category,
-            cache_tier="miss",
+            cache_tier=tier,
             latency_ms=(time.perf_counter() - start) * 1000.0,
             engine_id=self.engine_id,
             mode=self.mode,
@@ -185,6 +180,7 @@ class MedService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: MedService = None  # set by make_server
+    timeout = 10.0  # seconds a client may stall on the socket mid-request
 
     def _send(self, status: int, payload: dict):
         body = json.dumps(payload).encode("utf-8")
@@ -210,9 +206,20 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/v1/query":
             self._send(404, {"error": "not found"})
             return
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if int(length) > MAX_BODY_BYTES:
+            self._send(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = self.rfile.read(int(length))
+        except TimeoutError:
+            self._send(408, {"error": "request body not received in time"})
+            return
+        try:
+            doc = json.loads(body.decode("utf-8"))
             if not isinstance(doc, dict):
                 raise BadRequest("request body must be a JSON object")
             response = self.service.handle_query(doc.get("text", ""))

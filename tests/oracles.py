@@ -3,12 +3,26 @@
 These deliberately avoid the library code paths (and numpy.linalg.svd,
 which backs the production SVD): singular values come from a hand-rolled
 one-sided Jacobi sweep, quantization codes from literal nearest-neighbor
-loops, and attention from the direct definition.
+loops, and attention from the direct definition. The cache oracle keeps the
+earlier two-dict cache logic over the library's similarity math and log.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
+
+from medserve.cache import (
+    CacheEntry,
+    CacheHit,
+    CacheStats,
+    DiskLog,
+    SimilarityConfig,
+    cosine,
+    embed,
+    jaccard,
+)
+from medserve.query_pipeline import tokenize
 
 
 def jacobi_svd(m, sweeps: int = 60, tol: float = 1e-14):
@@ -139,3 +153,99 @@ def brute_force_placement(layers, devices, estimate):
     if best is None:
         return None, None
     return best, list(best_assign)
+
+
+class TwoDictCache:
+    """The cache as a memory LRU dict plus a disk-index dict of the same entries.
+
+    Lookup runs four branches: exact memory, exact disk, semantic memory,
+    then semantic over the disk entries not in memory. Appends to the log are
+    synchronous. One change from the original: an insert made while degraded
+    (or memory-only) drops the disk-index entry for its query, so a stale
+    response cannot come back once the new one is evicted.
+    """
+
+    def __init__(self, capacity, disk_dir=None, config=None):
+        self.capacity = capacity
+        self.config = config or SimilarityConfig()
+        self.stats = CacheStats()
+        self._memory = OrderedDict()
+        self._disk_index = {}
+        self._log = None
+        self.degraded = disk_dir is None
+        if disk_dir is not None:
+            self._log = DiskLog(disk_dir)
+            for entry in self._log.entries:
+                self._disk_index[entry.query] = entry
+
+    def insert(self, query, response, category=""):
+        existing = self._memory.get(query) or self._disk_index.get(query)
+        if existing is not None and existing.response == response:
+            self._touch(existing)
+            return
+        entry = CacheEntry.build(query, response, category)
+        self._touch(entry)
+        self.stats.inserts += 1
+        if self._log is not None and not self.degraded:
+            self._disk_index[query] = entry
+            self._log.append(entry)
+        else:
+            self._disk_index.pop(query, None)
+
+    def _touch(self, entry):
+        self._memory[entry.query] = entry
+        self._memory.move_to_end(entry.query)
+        while len(self._memory) > self.capacity:
+            self._memory.popitem(last=False)
+            self.stats.evictions += 1
+
+    def lookup(self, query):
+        tokens = frozenset(tokenize(query))
+        vec = embed(query)
+        entry = self._memory.get(query)
+        if entry is not None:
+            return self._hit(entry, "memory", 1.0)
+        entry = self._disk_index.get(query)
+        if entry is not None:
+            return self._hit(entry, "disk", 1.0)
+
+        best = self._best_semantic(self._memory.values(), tokens, vec)
+        if best is not None:
+            return self._hit(best[0], "memory", best[1])
+        disk_only = (
+            e for q, e in self._disk_index.items() if q not in self._memory
+        )
+        best = self._best_semantic(disk_only, tokens, vec)
+        if best is not None:
+            return self._hit(best[0], "disk", best[1])
+
+        self.stats.misses += 1
+        return None
+
+    def _best_semantic(self, entries, tokens, vec):
+        best_entry, best_sim = None, -1.0
+        for entry in entries:
+            sim = (
+                self.config.alpha * jaccard(tokens, entry.tokens)
+                + (1.0 - self.config.alpha) * cosine(vec, entry.embedding)
+            )
+            if sim > best_sim:
+                best_entry, best_sim = entry, sim
+        if best_entry is not None and best_sim >= self.config.tau:
+            return best_entry, best_sim
+        return None
+
+    def _hit(self, entry, tier, sim):
+        entry.hits += 1
+        if tier == "memory":
+            self.stats.memory_hits += 1
+        else:
+            self.stats.disk_hits += 1
+        self._touch(entry)
+        return CacheHit(response=entry.response, tier=tier, similarity=sim,
+                        category=entry.category)
+
+    def close(self):
+        if self._log is not None:
+            self._log.close()
+            self._log = None

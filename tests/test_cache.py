@@ -1,10 +1,13 @@
 """Tests for similarity math, the two-tier cache, and crash recovery."""
 
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import TwoDictCache
 
 from medserve.cache import (
     CacheEntry,
@@ -130,14 +133,14 @@ class TestTwoLevelCache:
         with TwoLevelCache(capacity=3, disk_dir=tmp_path) as cache:
             for i in range(10):
                 cache.insert(f"query number {i}", f"r{i}", "treatment")
-                assert len(cache._memory) <= 3
+                assert len(cache._lru) <= 3
 
     def test_idempotent_reinsert(self, tmp_path):
         with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
             cache.insert("query", "resp", "prevention")
             cache.lookup("query")
             cache.insert("query", "resp", "prevention")
-            entry = cache._memory["query"]
+            entry = cache._entries["query"]
             assert entry.hits == 1
             cache.flush()
             size_before = (tmp_path / "cache.log").stat().st_size
@@ -194,6 +197,24 @@ class TestTwoLevelCache:
         assert cache.lookup("q").response == "r"
         cache.close()
 
+    def test_degraded_reinsert_does_not_resurface_old_response(self, tmp_path):
+        with TwoLevelCache(capacity=1, disk_dir=tmp_path) as cache:
+            cache.insert("q", "old", "diagnosis")
+            cache.degraded = True
+            cache.insert("q", "new", "diagnosis")
+            assert cache.lookup("q").response == "new"
+            cache.insert("other", "r", "diagnosis")  # evicts the unlogged "new"
+            assert cache.lookup("q") is None
+
+    def test_memory_only_evicted_entry_misses(self):
+        cache = TwoLevelCache(capacity=1, disk_dir=None)
+        cache.insert("first query", "r1", "diagnosis")
+        cache.insert("second query", "r2", "diagnosis")
+        assert cache.stats.evictions == 1
+        assert cache.lookup("first query") is None
+        assert len(cache._entries) == 1
+        cache.close()
+
     def test_concurrent_inserts_and_lookups(self, tmp_path):
         cache = TwoLevelCache(capacity=32, disk_dir=tmp_path)
         errors = []
@@ -214,6 +235,73 @@ class TestTwoLevelCache:
         cache.close()
         assert not errors
         assert cache.stats.inserts == 200
+
+
+# A 7-token vocabulary makes repeated queries and tied similarities common;
+# lookup is listed twice to draw it twice as often.
+_queries = st.lists(
+    st.sampled_from(["chest", "pain", "dose", "fever", "rash", "cough", "sleep"]),
+    max_size=4,
+).map(" ".join)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _queries, st.sampled_from(["r0", "r1", "r2"]),
+              st.sampled_from(["diagnosis", "treatment"])),
+    st.tuples(st.just("lookup"), _queries),
+    st.tuples(st.just("lookup"), _queries),
+    st.just(("degrade",)),
+    st.just(("reopen",)),
+), min_size=20, max_size=60)
+
+
+class TestMatchesTwoDictOracle:
+    """The one-store cache against the two-dict logic it replaced."""
+
+    @staticmethod
+    def _state(cache, oracle):
+        held = {**oracle._disk_index, **oracle._memory}
+        return (
+            (cache.stats, list(cache._lru),
+             {q: (e.response, e.category, e.hits) for q, e in cache._entries.items()}),
+            (oracle.stats, list(oracle._memory),
+             {q: (e.response, e.category, e.hits) for q, e in held.items()}),
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        capacity=st.integers(1, 4),
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        tau=st.sampled_from([0.3, 0.5, 0.7, 0.92, 1.0]),
+        with_disk=st.booleans(),
+        ops=_ops,
+    )
+    def test_lockstep(self, capacity, alpha, tau, with_disk, ops):
+        cfg = SimilarityConfig(alpha=alpha, tau=tau)
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = (Path(tmp, "store"), Path(tmp, "oracle")) if with_disk else (None, None)
+
+            def open_both():
+                return (TwoLevelCache(capacity, dirs[0], cfg),
+                        TwoDictCache(capacity, dirs[1], cfg))
+
+            cache, oracle = open_both()
+            try:
+                for op in ops:
+                    if op[0] == "insert":
+                        cache.insert(*op[1:])
+                        oracle.insert(*op[1:])
+                    elif op[0] == "lookup":
+                        assert cache.lookup(op[1]) == oracle.lookup(op[1]), op
+                    elif op[0] == "degrade":
+                        cache.degraded = oracle.degraded = True
+                    else:
+                        cache.close()
+                        oracle.close()
+                        cache, oracle = open_both()
+                    got, want = self._state(cache, oracle)
+                    assert got == want, op
+            finally:
+                cache.close()
+                oracle.close()
 
 
 class TestCrashRecovery:

@@ -416,6 +416,11 @@ class TestErrorReport:
                 wins += 1
         assert wins >= int(trials * 0.95)
 
+    def test_missing_weight_named(self):
+        manifest = ModelManifest((LayerSpec("o", LayerClass.OUTPUT, (2, 2)),))
+        with pytest.raises(ValueError, match="o: no weight"):
+            quant_error_report({}, manifest, PrecisionPolicy())
+
 
 class TestCheckpointContainer:
     def test_round_trip(self, tmp_path):
@@ -470,6 +475,20 @@ class TestCheckpointContainer:
         del weights["ffn"]
         with pytest.raises(ValueError, match="ffn"):
             write_checkpoint(tmp_path / "model.msq", manifest, policy, weights)
+
+    @pytest.mark.parametrize("value", [1e5, -65520.0, np.inf, np.nan])
+    def test_fp16_layer_out_of_range_rejected(self, tmp_path, value):
+        manifest, policy, weights = self._pinned_case()
+        weights["head"].reshape(-1)[7] = value
+        with pytest.raises(ValueError, match="head: .*float16 range"):
+            write_checkpoint(tmp_path / "model.msq", manifest, policy, weights)
+
+    def test_fp16_layer_range_edge_kept(self, tmp_path):
+        manifest, policy, weights = self._pinned_case()
+        weights["head"].reshape(-1)[:2] = [65504.0, -65504.0]
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, manifest, policy, weights)
+        assert list(read_checkpoint(path)[1]["head"].reshape(-1)[:2]) == [65504.0, -65504.0]
 
     def _written(self, tmp_path) -> bytes:
         path = tmp_path / "model.msq"

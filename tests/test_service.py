@@ -1,6 +1,7 @@
 """Tests for config loading, engines, the service pipeline, HTTP API, and CLI."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -25,7 +26,13 @@ from medserve.engines import (
     remote_engine_generate,
 )
 from medserve.quantizer import PrecisionPolicy
-from medserve.service import BadRequest, EngineFailure, MedService, make_server
+from medserve.service import (
+    MAX_BODY_BYTES,
+    BadRequest,
+    EngineFailure,
+    MedService,
+    make_server,
+)
 
 
 @pytest.fixture()
@@ -288,9 +295,11 @@ class TestServicePipeline:
 
 class TestHTTPAPI:
     @pytest.fixture()
-    def server(self, config):
+    def server(self, config, request):
         service = MedService(config)
         httpd = make_server(service, port=0)
+        if hasattr(request, "param"):  # handler socket timeout, seconds
+            httpd.RequestHandlerClass.timeout = request.param
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         yield f"http://127.0.0.1:{httpd.server_address[1]}", service
@@ -345,6 +354,37 @@ class TestHTTPAPI:
         base, _ = server
         status, _ = self._post(base, None, raw=b"{nope")
         assert status == 400
+
+    @staticmethod
+    def _raw_post(base, headers: str, body: bytes = b"") -> int:
+        """Send a hand-built POST; returns the status, or fails after 5 s."""
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /v1/query HTTP/1.1\r\nHost: x\r\n{headers}\r\n".encode()
+                         + body)
+            status_line = sock.makefile("rb").readline()
+        return int(status_line.split()[1])
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "", "0x10"])
+    def test_bad_content_length_is_400(self, server, length):
+        base, _ = server
+        assert self._raw_post(base, f"Content-Length: {length}\r\n") == 400
+
+    def test_oversized_body_is_413(self, server):
+        base, _ = server
+        headers = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+        assert self._raw_post(base, headers) == 413
+
+    def test_body_at_cap_is_served(self, server):
+        base, _ = server
+        body = b'{"text": "fever"}'.ljust(MAX_BODY_BYTES)
+        headers = f"Content-Length: {len(body)}\r\n"
+        assert self._raw_post(base, headers, body) == 200
+
+    @pytest.mark.parametrize("server", [0.3], indirect=True)
+    def test_stalled_body_times_out_with_408(self, server):
+        base, _ = server
+        assert self._raw_post(base, "Content-Length: 10\r\n", b'{"te') == 408
 
     def test_unknown_path_is_404(self, server):
         base, _ = server
@@ -481,6 +521,24 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["feasible"] is True
         assert set(doc["assignment"]) == {"l0", "l1"}
+
+    def test_place_cli_text_lists_layers_in_order(self, tmp_path, capsys):
+        layers = [
+            {"id": f"l{i}", "order": i, "flops": 1e9 * (i + 1), "weight_bytes": 100,
+             "activation_bytes": 10}
+            for i in (2, 0, 3, 1)
+        ]
+        devices = [
+            {"id": "gpu", "memory_bytes": 1000, "throughput_flops": 2e9,
+             "bandwidth_bytes": 1e8},
+        ]
+        lpath = tmp_path / "layers.json"
+        dpath = tmp_path / "devices.json"
+        lpath.write_text(json.dumps(layers))
+        dpath.write_text(json.dumps(devices))
+        assert cli_main(["place", "--layers", str(lpath), "--devices", str(dpath)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out if "->" in line] == ["l0", "l1", "l2", "l3"]
 
     def test_distill_demo_cli(self, tmp_path, capsys):
         out_file = tmp_path / "metrics.tsv"
