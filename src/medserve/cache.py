@@ -182,17 +182,25 @@ def _decode_payload(payload: bytes) -> CacheEntry:
 class DiskLog:
     """Append-only record log; the index is rebuilt by full scan on open."""
 
-    def __init__(self, directory):
-        self.path = Path(directory) / "cache.log"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        blob = self.path.read_bytes() if self.path.exists() else b""
-        self.entries, valid = decode_records(blob)
+    def __init__(self, path: Path):
+        self.path = path
+        self._fh = open(path, "ab")
+
+    @classmethod
+    def open(cls, directory) -> tuple["DiskLog", list[CacheEntry]]:
+        """Open the log for appending; return it and the records it holds,
+        which the log itself does not keep."""
+        path = Path(directory) / "cache.log"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        blob = path.read_bytes() if path.exists() else b""
+        entries, valid = decode_records(blob)
+        disk_log = cls(path)
         # A partial tail record can never be completed; drop it now so the
         # next append lands on a record boundary.
-        self._fh = open(self.path, "ab")
         if valid < len(blob):
-            self._fh.truncate(valid)
-        self._fh.seek(0, 2)
+            disk_log._fh.truncate(valid)
+        disk_log._fh.seek(0, 2)
+        return disk_log, entries
 
     def append(self, entry: CacheEntry):
         self._fh.write(encode_record(entry))
@@ -251,12 +259,12 @@ class TwoLevelCache:
         self._writer: threading.Thread | None = None
         if disk_dir is not None:
             try:
-                self._log = DiskLog(disk_dir)
+                self._log, entries = DiskLog.open(disk_dir)
             except OSError as exc:
                 log.warning("disk tier unavailable (%s); running memory-only", exc)
                 self.degraded = True
             else:
-                self._entries = {e.query: e for e in self._log.entries}
+                self._entries = {e.query: e for e in entries}
                 self._writer = threading.Thread(
                     target=self._writer_loop, name="cache-writer", daemon=True
                 )
@@ -356,6 +364,12 @@ class TwoLevelCache:
                         category=entry.category)
 
     # -- lifecycle ------------------------------------------------------
+
+    def metrics(self) -> dict:
+        """The counters, whether appends have stopped reaching the log (also
+        true when there is no log), and the appends still queued."""
+        return {**self.stats.as_dict(), "degraded": self.degraded,
+                "queue_depth": self._queue.qsize()}
 
     def flush(self):
         """Block until all queued disk appends have retired."""

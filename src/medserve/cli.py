@@ -81,17 +81,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .config import packaged_data
     from .query_pipeline import build_prompt, classify, load_lexicon, load_templates
 
     config = _load_config(args.config)
-    lexicon = load_lexicon(config.lexicon_path or packaged_data("lexicon.json"))
+    lexicon = load_lexicon(config.lexicon_path)
     classified = classify(args.text, lexicon)
     print(f"category: {classified.category.value}")
     scores = " ".join(f"{c.value}={classified.scores[c]}" for c in classified.scores)
     print(f"scores: {scores}")
     if args.prompt:
-        templates = load_templates(config.templates_path or packaged_data("templates.json"))
+        templates = load_templates(config.templates_path)
         print("prompt:")
         print(build_prompt(classified, templates))
     return EXIT_OK

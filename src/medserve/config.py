@@ -1,9 +1,11 @@
 """Service configuration: one versioned JSON document drives everything.
 
 The packaged defaults carry cache, quantization, hardware, workload,
-engine, and deployment-mode settings. Unknown schema versions and missing
-required keys are rejected with the offending key named; unknown sections
-are ignored.
+engine, and deployment-mode settings. Each setting's default is declared
+once, on its dataclass; a key the document leaves out takes it. Unknown
+schema versions, missing required keys and sections that are not JSON
+objects are rejected with the offending key named; unknown keys and
+sections are ignored.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import SimilarityConfig
+from .engines import MockEngine
 from .quantizer import LayerClass, PrecisionPolicy
 from .runtime import (
     DecisionWeights,
@@ -47,12 +50,8 @@ class RuntimeSettings:
     def __post_init__(self):
         if self.plan_bucket < 1:
             raise ValueError("plan_bucket must be >= 1")
-
-
-@dataclass(frozen=True)
-class MockEngineSettings:
-    seed: int = 0
-    mean_delay_ms: float = 0.0
+        if any(min(shape) < 1 for shape in self.warmup_shapes):
+            raise ValueError("warmup_shapes seq_len and batch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,13 @@ class RemoteEngineSettings:
     timeout_s: float = 10.0
     retry_backoff_s: float = 0.2
 
+    def __post_init__(self):
+        if not (self.timeout_s > 0 and self.retry_backoff_s >= 0):
+            raise ValueError("remote timeout_s must be > 0 and retry_backoff_s >= 0")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    lexicon_path: str | None
-    templates_path: str | None
     cache: CacheSettings
     quantization: PrecisionPolicy
     hardware: HardwareEnv
@@ -74,11 +75,17 @@ class ServiceConfig:
     engines: tuple[EngineProfile, ...]
     decision_weights: DecisionWeights
     mode_candidates: tuple[ModeCandidate, ModeCandidate]
+    lexicon_path: Path = field(default_factory=lambda: packaged_data("lexicon.json"))
+    templates_path: Path = field(default_factory=lambda: packaged_data("templates.json"))
     host: str = "127.0.0.1"
     port: int = 8632
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
-    mock_engine: MockEngineSettings = field(default_factory=MockEngineSettings)
+    mock_engine: MockEngine = field(default_factory=MockEngine)
     remote_engine: RemoteEngineSettings | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise ValueError("listen port must lie in [0, 65535]")
 
 
 def packaged_data(name: str) -> Path:
@@ -96,52 +103,55 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _section(doc: dict, key: str, required: bool = False) -> dict:
+    """The JSON object under key; an absent optional section reads as {}."""
+    section = _require(doc, key) if required else doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object")
+    return section
+
+
+def _given(section: dict, **convert) -> dict:
+    """The converted values of the keys the section gives. Keys it leaves out
+    are not passed on, so they take the defaults their dataclass declares."""
+    return {key: conv(section[key]) for key, conv in convert.items() if key in section}
+
+
 def _parse(doc: dict) -> ServiceConfig:
     version = _require(doc, "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
 
-    cache_doc = _require(doc, "cache")
     try:
+        cache_doc = _section(doc, "cache", required=True)
         cache = CacheSettings(
             capacity=int(_require(cache_doc, "capacity")),
-            similarity=SimilarityConfig(
-                alpha=float(cache_doc.get("alpha", 0.3)),
-                tau=float(cache_doc.get("tau", 0.92)),
-            ),
+            similarity=SimilarityConfig(**_given(cache_doc, alpha=float, tau=float)),
             disk_dir=cache_doc.get("disk_dir"),
         )
 
-        quant_doc = doc.get("quantization", {})
-        bits_doc = quant_doc.get("bits", {})
-        bits = {
-            cls: int(bits_doc.get(cls.value, PrecisionPolicy().bits[cls]))
-            for cls in LayerClass
-        }
+        quant_doc = _section(doc, "quantization")
+        bits_doc = _section(quant_doc, "bits")
+        default_bits = PrecisionPolicy().bits
         quantization = PrecisionPolicy(
-            bits=bits, block_size=int(quant_doc.get("block_size", 64))
+            bits={cls: int(bits_doc.get(cls.value, default_bits[cls])) for cls in LayerClass},
+            **_given(quant_doc, block_size=int),
         )
 
-        hw_doc = _require(doc, "hardware")
+        hw_doc = _section(doc, "hardware", required=True)
         hardware = HardwareEnv(
             accelerator_memory_bytes=int(_require(hw_doc, "accelerator_memory_bytes")),
-            host_memory_bytes=int(_require(hw_doc, "host_memory_bytes")),
-            cores=int(_require(hw_doc, "cores")),
-            disk_read_bytes_per_s=float(_require(hw_doc, "disk_read_bytes_per_s")),
         )
 
-        wl_doc = _require(doc, "workload")
+        wl_doc = _section(doc, "workload", required=True)
         workload = WorkloadProfile(
-            request_rate=float(_require(wl_doc, "request_rate")),
             mean_prompt_tokens=float(_require(wl_doc, "mean_prompt_tokens")),
             mean_output_tokens=float(_require(wl_doc, "mean_output_tokens")),
-            category_mix=tuple(float(x) for x in _require(wl_doc, "category_mix")),
         )
 
         engines = tuple(
             EngineProfile(
                 id=str(_require(e, "id")),
-                supported_bits=tuple(int(b) for b in e.get("supported_bits", [4, 8, 16])),
                 base_rate_tokens_per_s=float(_require(e, "base_rate_tokens_per_s")),
                 request_overhead_s=float(_require(e, "request_overhead_s")),
                 memory_bytes=int(_require(e, "memory_bytes")),
@@ -151,14 +161,11 @@ def _parse(doc: dict) -> ServiceConfig:
         if not engines:
             raise ConfigError("config key 'engines' must list at least one engine")
 
-        dw_doc = doc.get("decision_weights", {})
-        weights = DecisionWeights(
-            performance=float(dw_doc.get("performance", 1.0)),
-            fit=float(dw_doc.get("fit", 1.0)),
-            cost=float(dw_doc.get("cost", 1.0)),
-        )
+        weights = DecisionWeights(**_given(
+            _section(doc, "decision_weights"), performance=float, fit=float, cost=float,
+        ))
 
-        mc_doc = _require(doc, "mode_candidates")
+        mc_doc = _section(doc, "mode_candidates", required=True)
         candidates = tuple(
             ModeCandidate(
                 mode=mode,
@@ -169,49 +176,41 @@ def _parse(doc: dict) -> ServiceConfig:
             for mode in ("adapter", "merged")
         )
 
-        listen = doc.get("listen", {})
-        rt_doc = doc.get("runtime", {})
-        runtime = RuntimeSettings(
-            plan_bucket=int(rt_doc.get("plan_bucket", 32)),
-            warmup_shapes=tuple(
-                (int(seq), int(batch)) for seq, batch in rt_doc.get("warmup_shapes", [])
-            ),
-        )
-        mock_doc = doc.get("mock_engine", {})
-        mock = MockEngineSettings(
-            seed=int(mock_doc.get("seed", 0)),
-            mean_delay_ms=float(mock_doc.get("mean_delay_ms", 0.0)),
-        )
+        paths = {key: Path(doc[key]) for key in ("lexicon_path", "templates_path")
+                 if doc.get(key) is not None}
+        runtime = RuntimeSettings(**_given(
+            _section(doc, "runtime"), plan_bucket=int,
+            warmup_shapes=lambda pairs: tuple((int(s), int(b)) for s, b in pairs),
+        ))
+        mock = MockEngine(**_given(_section(doc, "mock_engine"),
+                                   seed=int, mean_delay_ms=float))
         remote = None
         if doc.get("remote_engine"):
-            r = doc["remote_engine"]
+            r = _section(doc, "remote_engine")
             remote = RemoteEngineSettings(
                 endpoint=str(_require(r, "endpoint")),
                 model=str(_require(r, "model")),
-                timeout_s=float(r.get("timeout_s", 10.0)),
-                retry_backoff_s=float(r.get("retry_backoff_s", 0.2)),
+                **_given(r, timeout_s=float, retry_backoff_s=float),
             )
+
+        return ServiceConfig(
+            cache=cache,
+            quantization=quantization,
+            hardware=hardware,
+            workload=workload,
+            engines=engines,
+            decision_weights=weights,
+            mode_candidates=candidates,
+            runtime=runtime,
+            mock_engine=mock,
+            remote_engine=remote,
+            **paths,
+            **_given(_section(doc, "listen"), host=str, port=int),
+        )
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-
-    return ServiceConfig(
-        lexicon_path=doc.get("lexicon_path"),
-        templates_path=doc.get("templates_path"),
-        cache=cache,
-        quantization=quantization,
-        hardware=hardware,
-        workload=workload,
-        engines=engines,
-        decision_weights=weights,
-        mode_candidates=candidates,
-        host=str(listen.get("host", "127.0.0.1")),
-        port=int(listen.get("port", 8632)),
-        runtime=runtime,
-        mock_engine=mock,
-        remote_engine=remote,
-    )
 
 
 def load_config(path=None) -> ServiceConfig:

@@ -13,8 +13,6 @@ import hashlib
 import json
 import math
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 
@@ -61,19 +59,16 @@ def mock_engine_delay_s(prompt: str, seed: int, mean_delay_ms: float) -> float:
     return (mean_delay_ms / 1000.0) * -math.log(1.0 - u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MockEngine:
     """Test double standing in for a local inference engine."""
 
     seed: int = 0
     mean_delay_ms: float = 0.0
-    apply_delay: bool = False  # sleep for the simulated time when True
 
     def generate(self, prompt: str, category: str = "") -> tuple[str, float]:
         """Returns (answer text, simulated delay in seconds)."""
         delay = mock_engine_delay_s(prompt, self.seed, self.mean_delay_ms)
-        if self.apply_delay and delay > 0:
-            time.sleep(delay)
         return mock_engine_generate(prompt, self.seed, category), delay
 
 
@@ -88,6 +83,11 @@ def remote_engine_generate(prompt: str, endpoint: str, model: str,
     RemoteEngineProtocolError respectively; the first failure of any kind
     triggers exactly one backoff retry.
     """
+    # Imported here: at module level, urllib.request would add ssl, http.client
+    # and email (about 3 MB) to every process that loads a config.
+    import urllib.error
+    import urllib.request
+
     url = endpoint.rstrip("/") + "/v1/chat/completions"
     body = json.dumps({
         "model": model,

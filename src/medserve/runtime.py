@@ -156,34 +156,25 @@ def _check_attention_dims(q, k, v):
 @dataclass(frozen=True)
 class HardwareEnv:
     accelerator_memory_bytes: int
-    host_memory_bytes: int
-    cores: int
-    disk_read_bytes_per_s: float
 
     def __post_init__(self):
-        if min(self.accelerator_memory_bytes, self.host_memory_bytes,
-               self.cores) <= 0 or self.disk_read_bytes_per_s <= 0:
+        if self.accelerator_memory_bytes <= 0:
             raise ValueError("hardware fields must be positive")
 
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    request_rate: float
     mean_prompt_tokens: float
     mean_output_tokens: float
-    category_mix: tuple[float, float, float, float, float]
 
     def __post_init__(self):
-        if abs(sum(self.category_mix) - 1.0) > 1e-9:
-            raise ValueError("category mix must sum to 1")
-        if self.request_rate <= 0 or self.mean_prompt_tokens <= 0 or self.mean_output_tokens <= 0:
+        if self.mean_prompt_tokens <= 0 or self.mean_output_tokens <= 0:
             raise ValueError("workload fields must be positive")
 
 
 @dataclass(frozen=True)
 class EngineProfile:
     id: str
-    supported_bits: tuple[int, ...]
     base_rate_tokens_per_s: float
     request_overhead_s: float
     memory_bytes: int

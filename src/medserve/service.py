@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .cache import TwoLevelCache
-from .config import ServiceConfig, packaged_data
-from .engines import MockEngine, RemoteEngineError, remote_engine_generate
+from .config import ServiceConfig
+from .engines import RemoteEngineError, remote_engine_generate
 from .query_pipeline import (
     KeywordLexicon,
     PromptTemplate,
@@ -66,23 +66,14 @@ class QueryResponse:
 class MedService:
     """The serving pipeline with a pluggable generation backend."""
 
-    def __init__(self, config: ServiceConfig, apply_mock_delay: bool = False):
+    def __init__(self, config: ServiceConfig):
         self.config = config
-        self.lexicon: KeywordLexicon = load_lexicon(
-            config.lexicon_path or packaged_data("lexicon.json")
-        )
-        self.templates: PromptTemplate = load_templates(
-            config.templates_path or packaged_data("templates.json")
-        )
+        self.lexicon: KeywordLexicon = load_lexicon(config.lexicon_path)
+        self.templates: PromptTemplate = load_templates(config.templates_path)
         self.cache = TwoLevelCache(
             capacity=config.cache.capacity,
             disk_dir=config.cache.disk_dir,
             config=config.cache.similarity,
-        )
-        self.mock = MockEngine(
-            seed=config.mock_engine.seed,
-            mean_delay_ms=config.mock_engine.mean_delay_ms,
-            apply_delay=apply_mock_delay,
         )
         self._metrics_lock = threading.Lock()
         self.request_count = 0
@@ -121,7 +112,7 @@ class MedService:
                 ), 0.0
             except RemoteEngineError as exc:
                 raise EngineFailure(str(exc)) from exc
-        return self.mock.generate(prompt, category)
+        return self.config.mock_engine.generate(prompt, category)
 
     def handle_query(self, text: str) -> QueryResponse:
         """classify -> prompt -> cache lookup -> generate on miss -> insert."""
@@ -163,7 +154,7 @@ class MedService:
         with self._metrics_lock:
             return {
                 "requests": self.request_count,
-                "cache": self.cache.stats.as_dict(),
+                "cache": self.cache.metrics(),
                 "categories": dict(sorted(self.category_counts.items())),
                 "plans": {
                     "hits": self.plans.stats.hits,

@@ -174,8 +174,8 @@ class TwoDictCache:
         self._log = None
         self.degraded = disk_dir is None
         if disk_dir is not None:
-            self._log = DiskLog(disk_dir)
-            for entry in self._log.entries:
+            self._log, entries = DiskLog.open(disk_dir)
+            for entry in entries:
                 self._disk_index[entry.query] = entry
 
     def insert(self, query, response, category=""):

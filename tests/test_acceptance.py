@@ -330,9 +330,8 @@ def test_criterion_13_argmax_properties():
     )
 
     rng = np.random.default_rng(31)
-    load = WorkloadProfile(request_rate=2.0, mean_prompt_tokens=80.0,
-                           mean_output_tokens=120.0,
-                           category_mix=(0.2, 0.2, 0.2, 0.2, 0.2))
+    load = WorkloadProfile(mean_prompt_tokens=80.0,
+                           mean_output_tokens=120.0)
     dominance_ok = True
     for _ in range(1000):
         p, f, c = rng.uniform(0, 1, size=3)
@@ -346,11 +345,9 @@ def test_criterion_13_argmax_properties():
     filter_ok = True
     gib = 2**30
     for _ in range(1000):
-        hw = HardwareEnv(accelerator_memory_bytes=int(rng.integers(2, 12)) * gib,
-                         host_memory_bytes=32 * gib, cores=8,
-                         disk_read_bytes_per_s=5e8)
+        hw = HardwareEnv(accelerator_memory_bytes=int(rng.integers(2, 12)) * gib)
         engines = [
-            EngineProfile(id=f"e{i}", supported_bits=(4, 8),
+            EngineProfile(id=f"e{i}",
                           base_rate_tokens_per_s=float(rng.uniform(50, 400)),
                           request_overhead_s=float(rng.uniform(0, 0.3)),
                           memory_bytes=int(rng.integers(1, 16)) * gib)

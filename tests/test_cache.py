@@ -1,5 +1,6 @@
 """Tests for similarity math, the two-tier cache, and crash recovery."""
 
+import gc
 import tempfile
 import threading
 from pathlib import Path
@@ -205,6 +206,23 @@ class TestTwoLevelCache:
             assert cache.lookup("q").response == "new"
             cache.insert("other", "r", "diagnosis")  # evicts the unlogged "new"
             assert cache.lookup("q") is None
+
+    def test_reopen_holds_one_entry_per_query(self, tmp_path):
+        def live_entries():
+            gc.collect()
+            return sum(isinstance(o, CacheEntry) for o in gc.get_objects())
+
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
+            for i in range(50):
+                cache.insert("q", f"response {i}", "diagnosis")
+        del cache
+        before = live_entries()
+        reopened = TwoLevelCache(capacity=4, disk_dir=tmp_path)
+        try:
+            assert live_entries() - before == 1
+            assert reopened.lookup("q").response == "response 49"
+        finally:
+            reopened.close()
 
     def test_memory_only_evicted_entry_misses(self):
         cache = TwoLevelCache(capacity=1, disk_dir=None)

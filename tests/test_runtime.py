@@ -38,18 +38,16 @@ GIB = 2**30
 
 
 def hardware(accel=8 * GIB):
-    return HardwareEnv(accelerator_memory_bytes=accel, host_memory_bytes=32 * GIB,
-                       cores=8, disk_read_bytes_per_s=5e8)
+    return HardwareEnv(accelerator_memory_bytes=accel)
 
 
 def workload(prompt=100.0, output=100.0):
-    return WorkloadProfile(request_rate=4.0, mean_prompt_tokens=prompt,
-                           mean_output_tokens=output,
-                           category_mix=(0.2, 0.2, 0.2, 0.2, 0.2))
+    return WorkloadProfile(mean_prompt_tokens=prompt,
+                           mean_output_tokens=output)
 
 
 def engine(eid, rate, overhead, memory):
-    return EngineProfile(id=eid, supported_bits=(4, 8, 16),
+    return EngineProfile(id=eid,
                          base_rate_tokens_per_s=rate,
                          request_overhead_s=overhead, memory_bytes=memory)
 
@@ -272,7 +270,7 @@ class TestEngineScoring:
             for k in (3, 1024):
                 scaled_engines = [
                     EngineProfile(
-                        id=e.id, supported_bits=e.supported_bits,
+                        id=e.id,
                         base_rate_tokens_per_s=e.base_rate_tokens_per_s,
                         request_overhead_s=e.request_overhead_s,
                         memory_bytes=e.memory_bytes * k,
@@ -281,9 +279,6 @@ class TestEngineScoring:
                 ]
                 scaled_hw = HardwareEnv(
                     accelerator_memory_bytes=hw.accelerator_memory_bytes * k,
-                    host_memory_bytes=hw.host_memory_bytes * k,
-                    cores=hw.cores,
-                    disk_read_bytes_per_s=hw.disk_read_bytes_per_s,
                 )
                 try:
                     scaled_choice = select_engine(scaled_engines, scaled_hw, load)

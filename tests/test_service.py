@@ -1,5 +1,6 @@
 """Tests for config loading, engines, the service pipeline, HTTP API, and CLI."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -10,9 +11,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from medserve.bench import BenchSpec, run_bench, synthetic_queries
+from medserve.cache import DiskLog
 from medserve.cli import main as cli_main
 from medserve.config import (
     ConfigError,
+    _parse,
     default_config_path,
     load_config,
     packaged_data,
@@ -53,9 +56,40 @@ class TestConfig:
         doc = json.loads(default_config_path().read_text())
         doc["lora"] = {"rank": 16, "alpha": 32}
         doc["distill"] = {"lr_min": 1e-5, "lr_max": 5e-5, "batch_size": 64, "epochs": 3}
+        doc["hardware"].update(host_memory_bytes=2**35, cores=8,
+                               disk_read_bytes_per_s=5e8)
+        doc["workload"].update(request_rate=4.0, category_mix=[0.2] * 5)
+        for engine, bits in zip(doc["engines"], ([4, 8], [8, 16], [16])):
+            engine["supported_bits"] = bits
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(doc))
         assert load_config(path) == cfg
+
+    def test_every_packaged_key_is_read(self):
+        class Recorder(dict):
+            def __init__(self, pairs):
+                super().__init__(pairs)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        doc = json.loads(default_config_path().read_text(), object_pairs_hook=Recorder)
+        _parse(doc)
+        unread, stack = [], [("", doc)]
+        while stack:
+            where, node = stack.pop()
+            if isinstance(node, Recorder):
+                unread += [f"{where}.{k}" for k in node.keys() - node.read]
+                stack += [(f"{where}.{k}", v) for k, v in node.items()]
+            elif isinstance(node, list):
+                stack += [(f"{where}[{i}]", v) for i, v in enumerate(node)]
+        assert unread == []
 
     def test_missing_required_key_named(self, tmp_path):
         doc = json.loads(default_config_path().read_text())
@@ -82,6 +116,40 @@ class TestConfig:
         path.write_text("{")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+class TestMetricsGauges:
+    def test_failed_append_shows_degraded(self, config, monkeypatch):
+        release = threading.Event()
+
+        def failing_append(self, entry):
+            release.wait(timeout=10)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(DiskLog, "append", failing_append)
+        service = MedService(config)
+        try:
+            assert service.metrics()["cache"]["degraded"] is False
+            for text in ("dose of insulin", "treat asthma", "prevent flu"):
+                service.handle_query(text)
+            assert service.metrics()["cache"]["queue_depth"] >= 2
+            release.set()
+            service.cache.flush()
+            cache = service.metrics()["cache"]
+            assert cache["degraded"] is True
+            assert cache["queue_depth"] == 0
+        finally:
+            release.set()
+            service.close()
+
+    def test_memory_only_is_degraded(self, config):
+        config = dataclasses.replace(
+            config, cache=dataclasses.replace(config.cache, disk_dir=None))
+        service = MedService(config)
+        try:
+            assert service.metrics()["cache"]["degraded"] is True
+        finally:
+            service.close()
 
 
 class TestMockEngine:
@@ -455,6 +523,45 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert cli_main(["bench", "--config", str(bad)]) == 2
+
+    @staticmethod
+    def _config_with(tmp_path, change) -> str:
+        doc = json.loads(default_config_path().read_text())
+        doc["cache"]["disk_dir"] = str(tmp_path / "cache")
+        change(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("port", ["abc", 70000])
+    def test_bad_listen_port_exit_two(self, tmp_path, capsys, port):
+        path = self._config_with(tmp_path, lambda d: d["listen"].update(port=port))
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        "runtime", "quantization", "bits", "mock_engine", "decision_weights", "listen",
+    ])
+    def test_non_object_section_exit_two(self, tmp_path, capsys, section):
+        def change(doc):
+            owner = doc["quantization"] if section == "bits" else doc
+            owner[section] = [1, 2]
+
+        path = self._config_with(tmp_path, change)
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
+
+    def test_negative_remote_timeout_exit_two(self, tmp_path, capsys):
+        remote = {"endpoint": "http://127.0.0.1:9", "model": "m", "timeout_s": -1}
+        path = self._config_with(tmp_path, lambda d: d.update(remote_engine=remote))
+        assert cli_main(["bench", "--config", path, "--requests", "2"]) == 2
+        assert "timeout_s" in capsys.readouterr().err
+
+    def test_zero_warmup_shape_exit_two(self, tmp_path, capsys):
+        path = self._config_with(
+            tmp_path, lambda d: d["runtime"].update(warmup_shapes=[[0, 1]]))
+        assert cli_main(["bench", "--config", path, "--requests", "2"]) == 2
+        assert "warmup_shapes" in capsys.readouterr().err
 
     def test_bench_cli_runs(self, tmp_path, capsys):
         doc = json.loads(default_config_path().read_text())
