@@ -149,6 +149,9 @@ def _parse(doc: dict) -> ServiceConfig:
             mean_output_tokens=float(_require(wl_doc, "mean_output_tokens")),
         )
 
+        engines_doc = _require(doc, "engines")
+        if not isinstance(engines_doc, list) or not all(isinstance(e, dict) for e in engines_doc):
+            raise ConfigError("config key 'engines' must be a JSON list of objects")
         engines = tuple(
             EngineProfile(
                 id=str(_require(e, "id")),
@@ -156,7 +159,7 @@ def _parse(doc: dict) -> ServiceConfig:
                 request_overhead_s=float(_require(e, "request_overhead_s")),
                 memory_bytes=int(_require(e, "memory_bytes")),
             )
-            for e in _require(doc, "engines")
+            for e in engines_doc
         )
         if not engines:
             raise ConfigError("config key 'engines' must list at least one engine")

@@ -1,10 +1,11 @@
 """Layer-to-device assignment under memory constraints.
 
-An affinity matrix ranks devices per layer by compute speed; the exact
-solver runs depth-first branch-and-bound over assignments with memory and
-lower-bound pruning, and a greedy fallback walks layers in order taking the
-best-affinity device that still has room. The latency model charges compute
-per layer plus a transfer term at every boundary where the device changes.
+The exact solver runs depth-first branch-and-bound over assignments,
+pruning on memory, on a transfer-aware lower bound and on memoized state
+dominance. A greedy fallback walks layers in order taking the device with
+the best affinity (a per-layer ranking by compute speed) that still has
+room. The latency model charges compute per layer plus a transfer term at
+every boundary where the device changes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class DeviceSpec:
             raise ValueError("throughput must be positive")
         if self.bandwidth_bytes <= 0:
             raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.throughput_flops) and math.isfinite(self.bandwidth_bytes)):
+            raise ValueError("throughput and bandwidth must be finite")
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class LayerProfile:
     def __post_init__(self):
         if self.flops < 0 or self.weight_bytes < 0 or self.activation_bytes < 0:
             raise ValueError("layer profile fields must be non-negative")
+        if not math.isfinite(self.flops):
+            raise ValueError("layer flops must be finite")
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,20 @@ class PlacementPlan:
     mode: str  # "exact" | "greedy"
 
 
-class InfeasiblePlacement(RuntimeError):
-    """Raised by callers that cannot proceed without a feasible plan."""
-
-
 def _ordered(layers) -> list[LayerProfile]:
     ordered = sorted(layers, key=lambda l: l.order)
     if [l.order for l in ordered] != list(range(len(ordered))):
         raise ValueError("layer order indices must be contiguous from 0")
     return ordered
+
+
+def _check_unique_ids(kind: str, items) -> None:
+    # A plan maps ids, so a shared id would merge two layers or two devices.
+    seen = set()
+    for item in items:
+        if item.id in seen:
+            raise ValueError(f"duplicate {kind} id {item.id!r}")
+        seen.add(item.id)
 
 
 def build_affinity(layers, devices) -> np.ndarray:
@@ -81,12 +91,9 @@ def build_affinity(layers, devices) -> np.ndarray:
     times = np.array([
         [layer.flops / dev.throughput_flops for dev in devices] for layer in layers
     ])
-    out = np.ones_like(times)
-    spread = times.max(axis=1) - times.min(axis=1)
-    for i in range(len(layers)):
-        if spread[i] > 0:
-            out[i] = (times[i].max() - times[i]) / spread[i]
-    return out
+    slowest = times.max(axis=1, keepdims=True)
+    spread = slowest - times.min(axis=1, keepdims=True)
+    return np.divide(slowest - times, spread, out=np.ones_like(times), where=spread > 0)
 
 
 def estimate_latency(assignment: list[int], layers, devices) -> float:
@@ -130,57 +137,77 @@ def _plan(assignment: list[int] | None, layers, devices, mode: str) -> Placement
 
 
 def _solve_exact(layers, devices) -> list[int] | None:
-    """Branch-and-bound over per-layer device choices.
+    """Exact branch-and-bound over per-layer device choices.
 
-    Children are explored best-affinity first; a node is pruned when its
-    accumulated latency plus the sum of remaining per-layer minimum compute
-    times cannot beat the incumbent. Equal-latency plans resolve to the
-    lexicographically smallest device-index tuple, i.e. lowest device id
-    first.
+    A path's cost is the forward sum of its steps, each step being a layer's
+    compute plus the transfer into it when the previous layer sits on another
+    device. Two rules prune:
+
+    - Bound. lb[i][p] is the cheapest cost of layers i..n-1 given layer i-1
+      on device p, counting compute and transfers but not memory. A child
+      is cut when its cost plus its bound exceeds the incumbent by more
+      than a relative 1e-12, which covers the ulp drift between the
+      backward bound sum and the forward path sum.
+    - Dominance. A node's state is (layer, previous device, memory left on
+      every device); it is cut when an earlier prefix reached the same
+      state at a cost no higher. The same completion then costs no more
+      after the earlier prefix, because float addition is monotone.
+
+    Children are visited in device-index order, so leaves arrive in
+    lexicographic order and every earlier prefix is lexicographically
+    smaller: neither rule can cut the lexicographically smallest optimal
+    plan, and the first optimum found is it. Equal-latency plans thus
+    resolve to the lowest device index tuple, i.e. lowest device id first.
     """
     n, m = len(layers), len(devices)
-    affinity = build_affinity(layers, devices)
-    compute = np.array([
-        [layer.flops / dev.throughput_flops for dev in devices] for layer in layers
-    ])
-    min_remaining = np.zeros(n + 1)
-    for i in range(n - 1, -1, -1):
-        min_remaining[i] = min_remaining[i + 1] + compute[i].min()
+    weights = [layer.weight_bytes for layer in layers]
+    compute = [[layer.flops / dev.throughput_flops for dev in devices] for layer in layers]
+    bandwidth = [dev.bandwidth_bytes for dev in devices]
 
-    child_order = [
-        sorted(range(m), key=lambda d: (-affinity[i][d], d)) for i in range(n)
-    ]
+    def step_row(i: int, p: int) -> list[float]:
+        """Cost of layer i on each device d after layer i-1 on device p."""
+        act = layers[i - 1].activation_bytes
+        return [
+            compute[i][d] if d == p else compute[i][d] + act / min(bandwidth[p], bandwidth[d])
+            for d in range(m)
+        ]
+
+    step = [None] + [[step_row(i, p) for p in range(m)] for i in range(1, n)]
+    lb = [[0.0] * m for _ in range(n + 1)]
+    for i in range(n - 1, 0, -1):
+        lb[i] = [min(s + rest for s, rest in zip(step[i][p], lb[i + 1])) for p in range(m)]
 
     best_cost = math.inf
     best_assign: list[int] | None = None
     assign = [0] * n
     remaining = [d.memory_bytes for d in devices]
+    seen: dict[tuple, float] = {}
 
     def recurse(i: int, cost: float):
         nonlocal best_cost, best_assign
-        if cost + min_remaining[i] > best_cost:
-            return
         if i == n:
-            candidate = list(assign)
-            if cost < best_cost or (cost == best_cost and
-                                    (best_assign is None or candidate < best_assign)):
-                best_cost = cost
-                best_assign = candidate
+            if cost < best_cost:
+                best_cost, best_assign = cost, list(assign)
             return
-        layer = layers[i]
-        for d in child_order[i]:
-            if layer.weight_bytes > remaining[d]:
+        w = weights[i]
+        row = step[i][assign[i - 1]] if i else compute[0]
+        bound = lb[i + 1]
+        for d in range(m):
+            if w > remaining[d]:
                 continue
-            step = compute[i][d]
-            if i > 0 and assign[i - 1] != d:
-                link = min(devices[assign[i - 1]].bandwidth_bytes, devices[d].bandwidth_bytes)
-                step += layers[i - 1].activation_bytes / link
-            assign[i] = d
-            remaining[d] -= layer.weight_bytes
-            recurse(i + 1, cost + step)
-            remaining[d] += layer.weight_bytes
+            child = cost + row[d]
+            if child + bound[d] > best_cost * (1 + 1e-12):
+                continue
+            remaining[d] -= w
+            key = (i, d, tuple(remaining))
+            if seen.get(key, math.inf) > child:
+                seen[key] = child
+                assign[i] = d
+                recurse(i + 1, child)
+            remaining[d] += w
 
     recurse(0, 0.0)
+    del recurse  # drop the closure's self-reference so the memo is freed on return
     return best_assign
 
 
@@ -211,6 +238,8 @@ def solve_placement(layers, devices, mode: str = "auto") -> PlacementPlan:
     devices = sorted(devices, key=lambda d: d.id)
     if not layers or not devices:
         raise ValueError("need at least one layer and one device")
+    _check_unique_ids("layer", layers)
+    _check_unique_ids("device", devices)
     if mode not in ("auto", "exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -4,7 +4,9 @@ These deliberately avoid the library code paths (and numpy.linalg.svd,
 which backs the production SVD): singular values come from a hand-rolled
 one-sided Jacobi sweep, quantization codes from literal nearest-neighbor
 loops, and attention from the direct definition. The cache oracle keeps the
-earlier two-dict cache logic over the library's similarity math and log.
+earlier two-dict cache logic over the library's similarity math and log, and
+the placement oracles are exhaustive enumeration and the earlier
+branch-and-bound solver.
 """
 
 import math
@@ -22,6 +24,7 @@ from medserve.cache import (
     embed,
     jaccard,
 )
+from medserve.placement import build_affinity
 from medserve.query_pipeline import tokenize
 
 
@@ -153,6 +156,71 @@ def brute_force_placement(layers, devices, estimate):
     if best is None:
         return None, None
     return best, list(best_assign)
+
+
+def row_affinity(times) -> np.ndarray:
+    """Min-max scaled speed scores, one row of per-device times at a time."""
+    out = np.ones_like(times)
+    spread = times.max(axis=1) - times.min(axis=1)
+    for i in range(len(times)):
+        if spread[i] > 0:
+            out[i] = (times[i].max() - times[i]) / spread[i]
+    return out
+
+
+def branch_and_bound_placement(layers, devices) -> list[int] | None:
+    """Branch-and-bound over per-layer device choices (the earlier exact solver).
+
+    Children are explored best-affinity first; a node is pruned when its
+    accumulated latency plus the sum of remaining per-layer minimum compute
+    times cannot beat the incumbent. Equal-latency plans resolve to the
+    lexicographically smallest device-index tuple, i.e. lowest device id
+    first.
+    """
+    n, m = len(layers), len(devices)
+    affinity = build_affinity(layers, devices)
+    compute = np.array([
+        [layer.flops / dev.throughput_flops for dev in devices] for layer in layers
+    ])
+    min_remaining = np.zeros(n + 1)
+    for i in range(n - 1, -1, -1):
+        min_remaining[i] = min_remaining[i + 1] + compute[i].min()
+
+    child_order = [
+        sorted(range(m), key=lambda d: (-affinity[i][d], d)) for i in range(n)
+    ]
+
+    best_cost = math.inf
+    best_assign: list[int] | None = None
+    assign = [0] * n
+    remaining = [d.memory_bytes for d in devices]
+
+    def recurse(i: int, cost: float):
+        nonlocal best_cost, best_assign
+        if cost + min_remaining[i] > best_cost:
+            return
+        if i == n:
+            candidate = list(assign)
+            if cost < best_cost or (cost == best_cost and
+                                    (best_assign is None or candidate < best_assign)):
+                best_cost = cost
+                best_assign = candidate
+            return
+        layer = layers[i]
+        for d in child_order[i]:
+            if layer.weight_bytes > remaining[d]:
+                continue
+            step = compute[i][d]
+            if i > 0 and assign[i - 1] != d:
+                link = min(devices[assign[i - 1]].bandwidth_bytes, devices[d].bandwidth_bytes)
+                step += layers[i - 1].activation_bytes / link
+            assign[i] = d
+            remaining[d] -= layer.weight_bytes
+            recurse(i + 1, cost + step)
+            remaining[d] += layer.weight_bytes
+
+    recurse(0, 0.0)
+    return best_assign
 
 
 class TwoDictCache:

@@ -1,8 +1,15 @@
 """Tests for affinity construction, the latency model, and both solvers."""
 
+import gc
+import json
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from medserve.cli import main as cli_main
+from medserve.config import packaged_data
 from medserve.placement import (
     DeviceSpec,
     LayerProfile,
@@ -10,7 +17,8 @@ from medserve.placement import (
     estimate_latency,
     solve_placement,
 )
-from oracles import brute_force_placement
+from medserve.quantizer import PrecisionPolicy, apply_policy, load_manifest
+from oracles import branch_and_bound_placement, brute_force_placement, row_affinity
 
 
 def device(idx, memory=10**9, throughput=1e9, bandwidth=1e8):
@@ -74,6 +82,19 @@ class TestAffinity:
             layers, devices = random_instance(rng)
             aff = build_affinity(layers, devices)
             assert np.all(aff >= 0.0) and np.all(aff <= 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_row_loop(self, data):
+        # Shared throughputs and zero flops give rows with no spread.
+        speeds = st.one_of(st.sampled_from([1e9, 2e9, 3.7e9]), st.floats(5e8, 5e9))
+        flops = st.one_of(st.sampled_from([0.0, 1e9, 2.5e9]), st.floats(0.0, 5e9))
+        layers = [layer(i, flops=data.draw(flops))
+                  for i in range(data.draw(st.integers(1, 6)))]
+        devices = [device(j, throughput=data.draw(speeds))
+                   for j in range(data.draw(st.integers(1, 4)))]
+        times = np.array([[l.flops / d.throughput_flops for d in devices] for l in layers])
+        assert build_affinity(layers, devices).tobytes() == row_affinity(times).tobytes()
 
 
 class TestLatencyModel:
@@ -186,3 +207,194 @@ class TestSolver:
         plan = solve_placement(layers, devices)
         assert plan.mode == "greedy"
         assert plan.feasible
+
+def window_7b(start, count):
+    """A window of the packaged 7B manifest on two devices holding 0.62 of
+    its bytes each: quantized bytes, 2 x params flops, 2 x hidden activations."""
+    manifest = load_manifest(packaged_data("manifest_7b.json"))
+    plan = apply_policy(manifest, PrecisionPolicy())
+    hidden = manifest.layers[0].shape[-1]
+    layers = [
+        LayerProfile(id=lp.name, order=i, flops=2.0 * lp.params,
+                     weight_bytes=lp.total_bytes, activation_bytes=2 * hidden)
+        for i, lp in enumerate(plan.layers[start:start + count])
+    ]
+    part = sum(l.weight_bytes for l in layers)
+    devices = [
+        DeviceSpec("acc0", int(part * 0.62), 3.6e11, 1.0e9),
+        DeviceSpec("acc1", int(part * 0.62), 3.0e11, 1.0e9),
+    ]
+    return layers, devices
+
+
+def dyadic_instance(draw_int, n, m, identical_devices=False):
+    """Every flop count, throughput, bandwidth and activation size is a small
+    multiple of a power of two, so every latency sum is exact in float."""
+    layers = [
+        LayerProfile(id=f"l{i}", order=i, flops=float(draw_int(0, 4) * 2**30),
+                     weight_bytes=draw_int(1, 4),
+                     activation_bytes=draw_int(0, 3) * 2**18)
+        for i in range(n)
+    ]
+    specs = [(draw_int(3, 14), 2.0 ** draw_int(29, 31), 2.0 ** draw_int(20, 21))
+             for _ in range(m)]
+    if identical_devices:
+        specs = specs[:1] * m
+    devices = [DeviceSpec(f"d{j}", *spec) for j, spec in enumerate(specs)]
+    return layers, devices
+
+
+def forward_latency(assignment, layers, devices):
+    """The exact solver's objective: per layer, compute plus the transfer
+    into it, summed in layer order (estimate_latency adds every compute term
+    before the transfers, so the two can differ in the last ulp)."""
+    total = 0.0
+    for i, d in enumerate(assignment):
+        step = layers[i].flops / devices[d].throughput_flops
+        if i and assignment[i - 1] != d:
+            p = assignment[i - 1]
+            step += layers[i - 1].activation_bytes / min(
+                devices[p].bandwidth_bytes, devices[d].bandwidth_bytes)
+        total += step
+    return total
+
+
+def lexicographic_optimum(layers, devices, estimate=estimate_latency):
+    _, best = brute_force_placement(layers, devices, estimate)
+    return None if best is None else {layers[i].id: devices[d].id for i, d in enumerate(best)}
+
+
+class TestExactSolver:
+    @pytest.mark.parametrize("start", [1, 1 + 7 * 13, 1 + 7 * 27])
+    def test_matches_bb_oracle_on_7b_windows(self, start):
+        layers, devices = window_7b(start, 24)
+        plan = solve_placement(layers, devices)
+        reference = branch_and_bound_placement(layers, devices)
+        assert plan.mode == "exact"
+        assert plan.assignment == {
+            layers[i].id: devices[d].id for i, d in enumerate(reference)
+        }
+        assert plan.latency == estimate_latency(reference, layers, devices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_up_to_10_layers(self, data):
+        # Small weights and memories make different prefixes meet in the same
+        # (layer, device, memory left) state; repeated values make near-ties.
+        def value(lo, hi, common):
+            return data.draw(st.one_of(st.sampled_from(common), st.floats(lo, hi)))
+
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, {1: 10, 2: 10, 3: 7, 4: 5}[m]))
+        layers = [
+            LayerProfile(id=f"l{i}", order=i, flops=value(0.0, 5e9, [1e9, 3e9, 7e8]),
+                         weight_bytes=data.draw(st.integers(1, 4)),
+                         activation_bytes=data.draw(st.sampled_from([0, 10**4, 10**8])))
+            for i in range(n)
+        ]
+        devices = [
+            DeviceSpec(id=f"d{j}", memory_bytes=data.draw(st.integers(0, 14)),
+                       throughput_flops=value(5e8, 5e9, [1e9, 3e9]),
+                       bandwidth_bytes=value(1e7, 1e9, [1e8, 3e8]))
+            for j in range(m)
+        ]
+        best, _ = brute_force_placement(layers, devices, estimate_latency)
+        plan = solve_placement(layers, devices, mode="exact")
+        if best is None:
+            assert not plan.feasible
+        else:
+            assert plan.feasible
+            assert plan.latency == pytest.approx(best, rel=1e-12)
+            assert plan.assignment == lexicographic_optimum(layers, devices, forward_latency)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_exact_ties_break_lexicographically(self, data, identical):
+        m = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 7))
+        layers, devices = dyadic_instance(
+            lambda lo, hi: data.draw(st.integers(lo, hi)), n, m, identical)
+        plan = solve_placement(layers, devices, mode="exact")
+        assert plan.assignment == (lexicographic_optimum(layers, devices) or {})
+
+    def test_three_identical_devices_tie_to_lowest_ids(self):
+        layers = [layer(i, flops=2.0**30, weight=2, activation=2**18) for i in range(5)]
+        devices = [DeviceSpec(id=f"d{j}", memory_bytes=4, throughput_flops=2.0**30,
+                              bandwidth_bytes=2.0**20) for j in (2, 0, 1)]
+        plan = solve_placement(layers, devices, mode="exact")
+        assert plan.assignment == {"l0": "d0", "l1": "d0", "l2": "d1", "l3": "d1",
+                                   "l4": "d2"}
+        assert plan.assignment == lexicographic_optimum(layers, sorted(devices, key=lambda d: d.id))
+
+    @pytest.mark.parametrize("layer_specs, device_specs", [
+        ([(1e9, 3, 0), (3e9, 1, 0), (1e9, 2, 0), (1e9, 4, 10**4)],
+         [(6, 3e8, 1e8), (7, 3e9, 3e8)]),
+        ([(3e9, 2, 3 * 10**4), (7e8, 1, 3 * 10**4), (3e9, 4, 10**8), (1e8, 4, 3 * 10**4),
+          (1e8, 2, 0)],
+         [(11, 7e9, 3e8), (10, 3e8, 1e8), (5, 7e9, 1e8)]),
+    ])
+    def test_tied_optimum_survives_bound_drift(self, layer_specs, device_specs):
+        # A bound summed backward in float rounds above the optimum's forward
+        # path sum here: compared with no margin it cuts the optimum and
+        # returns a plan one ulp dearer or lexicographically larger.
+        layers = [LayerProfile(f"l{i}", i, *spec) for i, spec in enumerate(layer_specs)]
+        devices = [DeviceSpec(f"d{j}", *spec) for j, spec in enumerate(device_specs)]
+        plan = solve_placement(layers, devices, mode="exact")
+        assert plan.assignment == lexicographic_optimum(layers, devices, forward_latency)
+
+    def test_memo_freed_on_return(self):
+        layers, devices = window_7b(1, 24)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_placement(layers, devices, mode="exact")
+            assert gc.collect() == 0  # nothing left to the cycle collector
+        finally:
+            gc.enable()
+
+    def test_cli_exact_40_layer_window_under_a_second(self, tmp_path, capsys):
+        layers, devices = window_7b(1, 40)
+        lpath, dpath = tmp_path / "layers.json", tmp_path / "devices.json"
+        lpath.write_text(json.dumps([vars(l) for l in layers]))
+        dpath.write_text(json.dumps([vars(d) for d in devices]))
+        started = time.perf_counter()
+        code = cli_main(["place", "--layers", str(lpath), "--devices", str(dpath),
+                         "--mode", "exact", "--json"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["feasible"] and doc["mode"] == "exact"
+        assert len(doc["assignment"]) == 40
+        assert elapsed < 1.0
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("flops", [float("inf"), float("nan")])
+    def test_non_finite_flops_rejected(self, flops):
+        with pytest.raises(ValueError, match="finite"):
+            layer(0, flops=flops)
+
+    @pytest.mark.parametrize("field", ["throughput", "bandwidth"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_device_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            device(0, **{field: value})
+
+
+class TestDuplicateIds:
+    def test_duplicate_device_rejected(self):
+        with pytest.raises(ValueError, match="duplicate device id 'd0'"):
+            solve_placement([layer(0, weight=100), layer(1, weight=100)],
+                            [device(0, memory=100), device(0, memory=100)])
+
+    def test_duplicate_layer_rejected(self):
+        layers = [LayerProfile("a", 0, 1e9, 1, 1), LayerProfile("a", 1, 1e9, 1, 1)]
+        with pytest.raises(ValueError, match="duplicate layer id 'a'"):
+            solve_placement(layers, [device(0)], mode="greedy")
+
+    def test_cli_exits_three_naming_duplicate(self, tmp_path, capsys):
+        lpath, dpath = tmp_path / "layers.json", tmp_path / "devices.json"
+        lpath.write_text(json.dumps([vars(layer(0)), vars(layer(1))]))
+        dpath.write_text(json.dumps([vars(device(0)), vars(device(0))]))
+        assert cli_main(["place", "--layers", str(lpath), "--devices", str(dpath)]) == 3
+        assert "duplicate device id 'd0'" in capsys.readouterr().err

@@ -551,6 +551,14 @@ class TestCLI:
         assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
         assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engines", [
+        {"compact": {"id": "compact"}}, ["compact"],
+    ])
+    def test_engines_not_a_list_of_objects_exit_two(self, tmp_path, capsys, engines):
+        path = self._config_with(tmp_path, lambda d: d.update(engines=engines))
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert "config key 'engines' must be a JSON list of objects" in capsys.readouterr().err
+
     def test_negative_remote_timeout_exit_two(self, tmp_path, capsys):
         remote = {"endpoint": "http://127.0.0.1:9", "model": "m", "timeout_s": -1}
         path = self._config_with(tmp_path, lambda d: d.update(remote_engine=remote))
