@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -108,12 +109,16 @@ def _cmd_quantize(args) -> int:
         if not args.out:
             print("medserve quantize: --weights requires --out", file=sys.stderr)
             return EXIT_USAGE
-        raw = np.fromfile(args.weights, dtype="<f4").astype(np.float64)
+        size = os.path.getsize(args.weights)
         expected = manifest.total_params
-        if raw.size != expected:
+        if size != 4 * expected:
+            tail = f" and {size % 4} trailing bytes" if size % 4 else ""
             raise ValueError(
-                f"weight file holds {raw.size} values, manifest expects {expected}"
+                f"weight file holds {size // 4} values{tail}, manifest expects {expected}"
             )
+        # Mapped, not read: each layer is a float32 view that the quantizer
+        # casts a tile at a time, so memory stays bounded by one layer.
+        raw = np.memmap(args.weights, dtype="<f4", mode="r") if size else np.empty(0, "<f4")
         weights = {}
         offset = 0
         for layer in manifest.layers:

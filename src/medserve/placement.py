@@ -177,37 +177,46 @@ def _solve_exact(layers, devices) -> list[int] | None:
     for i in range(n - 1, 0, -1):
         lb[i] = [min(s + rest for s, rest in zip(step[i][p], lb[i + 1])) for p in range(m)]
 
-    best_cost = math.inf
+    best_cost = cutoff = math.inf  # cutoff: best_cost with the 1e-12 margin
     best_assign: list[int] | None = None
-    assign = [0] * n
     remaining = [d.memory_bytes for d in devices]
     seen: dict[tuple, float] = {}
-
-    def recurse(i: int, cost: float):
-        nonlocal best_cost, best_assign
-        if i == n:
-            if cost < best_cost:
-                best_cost, best_assign = cost, list(assign)
-            return
+    # Depth-first over an explicit stack, one frame per layer: assign[:i] is
+    # the current prefix, cost[i] its path cost, row[i] the step costs of
+    # layer i after it, and tried[i] the next device to try at layer i, so
+    # children are visited in device-index order as a recursion would.
+    assign = [0] * n
+    cost = [0.0] * n
+    row = [compute[0]] * n
+    tried = [0] * n
+    i = 0
+    while i >= 0:
+        d = tried[i]
+        if d == m:  # every child of this prefix is done: backtrack
+            i -= 1
+            if i >= 0:
+                remaining[assign[i]] += weights[i]
+            continue
+        tried[i] = d + 1
         w = weights[i]
-        row = step[i][assign[i - 1]] if i else compute[0]
-        bound = lb[i + 1]
-        for d in range(m):
-            if w > remaining[d]:
+        if w > remaining[d]:
+            continue
+        child = cost[i] + row[i][d]
+        if child + lb[i + 1][d] > cutoff:
+            continue
+        remaining[d] -= w
+        key = (i, d, tuple(remaining))
+        if seen.get(key, math.inf) > child:
+            seen[key] = child
+            assign[i] = d
+            if i + 1 < n:  # descend; remaining[d] stays taken until backtrack
+                i += 1
+                cost[i], row[i], tried[i] = child, step[i][d], 0
                 continue
-            child = cost + row[d]
-            if child + bound[d] > best_cost * (1 + 1e-12):
-                continue
-            remaining[d] -= w
-            key = (i, d, tuple(remaining))
-            if seen.get(key, math.inf) > child:
-                seen[key] = child
-                assign[i] = d
-                recurse(i + 1, child)
-            remaining[d] += w
-
-    recurse(0, 0.0)
-    del recurse  # drop the closure's self-reference so the memo is freed on return
+            if child < best_cost:
+                best_cost, best_assign = child, list(assign)
+                cutoff = best_cost * (1 + 1e-12)
+        remaining[d] += w
     return best_assign
 
 

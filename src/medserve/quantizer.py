@@ -6,18 +6,33 @@ codebook placed at standard-normal quantiles; INT8 blocks store symmetric
 absmax codes. A precision policy maps layer classes to bit widths, and the
 memory planner prices a model manifest against the FP16 baseline.
 
-Exactness contract: codes are computed in float64 on the whole padded block
-array at once; scales are stored as float32, so a tensor whose absmax exceeds
+Exactness contract: codes are computed in float64 from each block divided by
+its absmax; scales are stored as float32, so a tensor whose absmax exceeds
 the float32 range is rejected. An NF4 value equidistant from two levels takes
 the lower index, as a first-minimum argmin over all 16 distances would. The
 literal per-element loops in tests/oracles.py (nearest_level_codes,
 int8_codes) are the reference the array path is tested against.
+
+Threshold rule: for each pair of neighbouring levels L[i] < L[i+1], t[i] is
+the largest float64 x with |L[i] - x| <= |L[i+1] - x|. On [L[i], L[i+1]]
+that predicate is true up to t[i] and false above it, because correctly
+rounded subtraction is monotone, so the nearest level of a scaled value x in
+[-1, 1] (lower index on ties) is the number of thresholds below x. The
+thresholds are derived from NF4_LEVELS at import.
+
+Tiling: quantize_tensor walks the blocks in tiles of whole block rows, about
+1 MiB of float64 each, so the tile stays in cache from the float64 cast to
+the codes. Every block is still scaled, divided and coded with the same
+float64 operations as the whole array would be, so tiling changes no byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,11 +64,31 @@ NF4_LEVELS = (
 
 DEFAULT_BLOCK_SIZE = 64
 SCALE_BYTES = 4  # one float32 scale per block
+_F32_MAX = float(np.finfo(np.float32).max)
+# Values per tile: 128K float64 values are 1 MiB, which stays in a 4 MiB L2
+# cache together with the tile's codes and compare mask.
+_TILE_VALUES = 1 << 17
 
 
 def nf4_levels() -> np.ndarray:
     """The 16 NF4 codebook levels, ascending, as float64."""
     return np.array(NF4_LEVELS, dtype=np.float64)
+
+
+def _nf4_thresholds(levels) -> np.ndarray:
+    """t[i]: the largest float64 x with |L[i] - x| <= |L[i+1] - x|."""
+    thresholds = []
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        x = np.float64((lo + hi) / 2)
+        while not abs(lo - x) <= abs(hi - x):
+            x = np.nextafter(x, lo)
+        while abs(lo - (up := np.nextafter(x, hi))) <= abs(hi - up):
+            x = up
+        thresholds.append(x)
+    return np.array(thresholds, dtype=np.float64)
+
+
+_NF4_THRESHOLDS = _nf4_thresholds(NF4_LEVELS)
 
 
 class LayerClass(Enum):
@@ -163,42 +198,64 @@ def unpack_nf4(data: bytes, count: int) -> np.ndarray:
     return out[:count]
 
 
+def _as_float(values) -> np.ndarray:
+    """values as an array of its own float dtype, or of float64 otherwise."""
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+
+
 def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedTensor:
     """Blockwise quantization of an arbitrary-shape array.
 
-    The flat tensor is zero-padded to (nblocks, block_size); the padding
-    leaves each row's absmax unchanged and its codes are dropped.
+    The flat tensor is cut into (nblocks, block_size) rows, the last one
+    zero-padded; the padding leaves its absmax unchanged and its codes are
+    dropped. Rows are processed a tile at a time in float64, whatever the
+    input's float dtype, so no float64 copy of the whole tensor is made.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float(values)
     if arr.size == 0:
         raise ValueError("cannot quantize an empty tensor")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite values")
     if kind not in ("nf4", "int8"):
         raise ValueError(f"unknown quantization kind {kind!r}")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
-    n = arr.size
-    blocks = np.zeros((-(-n // block_size), block_size))
-    blocks.reshape(-1)[:n] = arr.reshape(-1)
-    scales = np.abs(blocks).max(axis=1)
-    if np.any(scales > np.finfo(np.float32).max):
-        raise ValueError("tensor absmax exceeds the float32 scale range")
-    # all-zero rows divide by 1 and so land on the exact-zero level / code
-    blocks /= np.where(scales > 0.0, scales, 1.0)[:, None]
-    if kind == "nf4":
-        levels = nf4_levels()
-        hi = np.searchsorted(levels, blocks)
-        hi = np.clip(hi, 1, len(levels) - 1, out=hi).astype(np.uint8)
-        # the nearest level is hi - 1 or hi; <= keeps the lower index on ties
-        codes = hi - (np.abs(levels[hi - 1] - blocks) <= np.abs(levels[hi] - blocks))
-        data = pack_nf4(codes.reshape(-1)[:n])
-    else:
-        codes = np.clip(np.round(blocks * 127.0), -127, 127).astype(np.int8)
-        data = codes.reshape(-1)[:n].tobytes()
+    flat = arr.reshape(-1)
+    n = flat.size
+    nblocks = -(-n // block_size)
+    rows = min(nblocks, max(1, _TILE_VALUES // block_size))
+    tile = np.empty((rows, block_size))
+    scales = np.empty(nblocks, dtype=np.float32)
+    codes = np.empty(nblocks * block_size, dtype=np.uint8 if kind == "nf4" else np.int8)
+    above = np.empty((rows, block_size), dtype=bool) if kind == "nf4" else None
+    for first in range(0, nblocks, rows):
+        blocks = tile[:min(rows, nblocks - first)]
+        start = first * block_size
+        count = min(blocks.size, n - start)
+        padded = blocks.reshape(-1)
+        padded[:count] = flat[start:start + count]
+        padded[count:] = 0.0
+        absmax = np.abs(blocks).max(axis=1)  # NaN and inf propagate
+        if not np.all(np.isfinite(absmax)):
+            raise ValueError("tensor contains non-finite values")
+        if np.any(absmax > _F32_MAX):
+            raise ValueError("tensor absmax exceeds the float32 scale range")
+        scales[first:first + len(blocks)] = absmax
+        # all-zero rows divide by 1 and so land on the exact-zero level / code
+        blocks /= np.where(absmax > 0.0, absmax, 1.0)[:, None]
+        out = codes[start:start + blocks.size].reshape(blocks.shape)
+        if kind == "nf4":
+            mask = above[:len(blocks)]
+            np.greater(blocks, _NF4_THRESHOLDS[0], out=out)
+            for t in _NF4_THRESHOLDS[1:]:
+                out += np.greater(blocks, t, out=mask)
+        else:
+            # |x / absmax| <= 1 under correctly rounded division, so the
+            # rounded codes already lie in [-127, 127]
+            blocks *= 127.0
+            out[...] = np.rint(blocks, out=blocks)
+    data = pack_nf4(codes[:n]) if kind == "nf4" else codes[:n].tobytes()
     return QuantizedTensor(
-        kind=kind, data=data, scales=scales.astype(np.float32),
-        shape=arr.shape, block_size=block_size,
+        kind=kind, data=data, scales=scales, shape=arr.shape, block_size=block_size,
     )
 
 
@@ -251,6 +308,13 @@ class QuantizationPlan:
         return 1.0 - self.total_bytes / self.fp16_bytes
 
 
+def _segment_lengths(params: int, bits: int, block_size: int) -> tuple[int, int]:
+    """(code bytes, scale bytes) of one layer's checkpoint segment."""
+    if bits == 16:
+        return params * 2, 0
+    return (params * bits + 7) // 8, -(-params // block_size) * SCALE_BYTES
+
+
 def apply_policy(manifest: ModelManifest, policy: PrecisionPolicy) -> QuantizationPlan:
     """Price every layer under the policy.
 
@@ -263,13 +327,7 @@ def apply_policy(manifest: ModelManifest, policy: PrecisionPolicy) -> Quantizati
         if layer.layer_class not in policy.bits:
             raise ValueError(f"policy does not map layer class {layer.layer_class!r}")
         bits = policy.bits[layer.layer_class]
-        if bits == 16:
-            code_bytes = layer.params * 2
-            scale_bytes = 0
-        else:
-            code_bytes = (layer.params * bits + 7) // 8
-            blocks = (layer.params + policy.block_size - 1) // policy.block_size
-            scale_bytes = blocks * SCALE_BYTES
+        code_bytes, scale_bytes = _segment_lengths(layer.params, bits, policy.block_size)
         plans.append(LayerPlan(
             name=layer.name, layer_class=layer.layer_class, params=layer.params,
             bits=bits, code_bytes=code_bytes, scale_bytes=scale_bytes,
@@ -342,48 +400,91 @@ F16_MAX = float(np.finfo(np.float16).max)  # 65504; 16-bit layers are stored as 
 
 def write_checkpoint(path, manifest: ModelManifest, policy: PrecisionPolicy,
                      weights: dict[str, np.ndarray]) -> QuantizationPlan:
+    """Quantize every layer under the policy and write the container.
+
+    The segment table comes from apply_policy, so the header is written
+    first and each layer's segment as soon as it is quantized; no more than
+    one layer's codes are held at a time. The bytes go to a temporary file
+    beside path, which replaces path only once complete: on any error the
+    temporary file is removed and a file already at path is left as it was.
+    """
     plan = apply_policy(manifest, policy)
-    segments = []
-    table = []
-    for spec, layer_plan in zip(manifest.layers, plan.layers):
-        if spec.name not in weights:
-            raise ValueError(f"{spec.name}: no weight given for this layer")
-        w = np.asarray(weights[spec.name], dtype=np.float64)
-        if w.size != spec.params:
-            raise ValueError(f"{spec.name}: weight size {w.size} != manifest {spec.params}")
-        if layer_plan.bits == 16:
-            # NaN fails the compare too; float16 would store inf or NaN.
-            if not np.all(np.abs(w) <= F16_MAX):
-                raise ValueError(f"{spec.name}: weight is non-finite or beyond "
-                                 f"the float16 range (+-{F16_MAX:g})")
-            codes = w.astype("<f2").tobytes()
-            scales = b""
-        else:
-            kind = "nf4" if layer_plan.bits == 4 else "int8"
-            qt = quantize_tensor(w, kind, policy.block_size)
-            codes = qt.data
-            scales = qt.scales.astype("<f4").tobytes()
-        segments.append(codes + scales)
-        table.append({
-            "name": layer_plan.name,
-            "bits": layer_plan.bits,
-            "shape": list(spec.shape),
-            "codes_len": len(codes),
-            "scales_len": len(scales),
-        })
     header = json.dumps({
         "manifest_digest": manifest.digest(),
         "policy": {c.value: b for c, b in policy.bits.items()},
         "block_size": policy.block_size,
-        "layers": table,
+        "layers": [
+            {"name": lp.name, "bits": lp.bits, "shape": list(spec.shape),
+             "codes_len": lp.code_bytes, "scales_len": lp.scale_bytes}
+            for spec, lp in zip(manifest.layers, plan.layers)
+        ],
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for seg in segments:
-            fh.write(seg)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for spec, layer_plan in zip(manifest.layers, plan.layers):
+                _write_layer(fh, spec, layer_plan.bits, policy.block_size, weights)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return plan
+
+
+def _write_layer(fh, spec: LayerSpec, bits: int, block_size: int,
+                 weights: dict[str, np.ndarray]) -> None:
+    if spec.name not in weights:
+        raise ValueError(f"{spec.name}: no weight given for this layer")
+    w = _as_float(weights[spec.name])
+    if w.size != spec.params:
+        raise ValueError(f"{spec.name}: weight size {w.size} != manifest {spec.params}")
+    if bits == 16:
+        # NaN fails the compare too; float16 would store inf or NaN.
+        if not np.all(np.abs(w) <= F16_MAX):
+            raise ValueError(f"{spec.name}: weight is non-finite or beyond "
+                             f"the float16 range (+-{F16_MAX:g})")
+        fh.write(w.astype("<f2").tobytes())
+    else:
+        qt = quantize_tensor(w, "nf4" if bits == 4 else "int8", block_size)
+        fh.write(qt.data)
+        fh.write(qt.scales.astype("<f4").tobytes())
+
+
+def _layer_table(path, header) -> list[dict]:
+    """The header's layer entries, each checked against the format: a name,
+    4, 8 or 16 bits, a shape of non-negative integers, and segment lengths
+    equal to what those and the block size give."""
+    layers = header.get("layers") if isinstance(header, dict) else None
+    if not isinstance(layers, list):
+        raise ValueError(f"{path}: header has no layer list")
+    for i, entry in enumerate(layers):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValueError(f"{path}: layer {i}: entry has no name")
+        where = f"{path}: layer {entry['name']!r}"
+        missing = sorted({"bits", "shape", "codes_len", "scales_len"} - entry.keys())
+        if missing:
+            raise ValueError(f"{where}: entry has no {', '.join(missing)}")
+        bits, shape = entry["bits"], entry["shape"]
+        if type(bits) is not int or bits not in (4, 8, 16):
+            raise ValueError(f"{where}: bits {bits!r} is not 4, 8 or 16")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+        block_size = header.get("block_size")
+        if bits != 16 and not (type(block_size) is int and block_size >= 1):
+            raise ValueError(f"{where}: block size {block_size!r} is not a positive integer")
+        want = _segment_lengths(math.prod(shape), bits, block_size)
+        if (entry["codes_len"], entry["scales_len"]) != want:
+            raise ValueError(
+                f"{where}: codes_len {entry['codes_len']!r} and scales_len "
+                f"{entry['scales_len']!r} disagree with {bits} bits, shape {shape} "
+                f"and block size {block_size}, which give {want[0]} and {want[1]}"
+            )
+    return layers
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -398,25 +499,24 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if offset > len(blob):
         raise ValueError(f"{path}: truncated checkpoint: header runs past end of file")
     header = json.loads(blob[12:offset].decode("utf-8"))
-    segments = sum(e["codes_len"] + e["scales_len"] for e in header["layers"])
+    table = _layer_table(path, header)
+    segments = sum(e["codes_len"] + e["scales_len"] for e in table)
     if segments != len(blob) - offset:
         raise ValueError(
             f"{path}: segments total {segments} bytes but {len(blob) - offset} follow the header"
         )
     weights = {}
-    for entry in header["layers"]:
+    for entry in table:
         codes = blob[offset:offset + entry["codes_len"]]
         offset += entry["codes_len"]
         scales = blob[offset:offset + entry["scales_len"]]
         offset += entry["scales_len"]
         shape = tuple(entry["shape"])
-        n = int(np.prod(shape))
         if entry["bits"] == 16:
             weights[entry["name"]] = np.frombuffer(codes, dtype="<f2").astype(np.float64).reshape(shape)
         else:
-            kind = "nf4" if entry["bits"] == 4 else "int8"
             qt = QuantizedTensor(
-                kind=kind, data=codes,
+                kind="nf4" if entry["bits"] == 4 else "int8", data=codes,
                 scales=np.frombuffer(scales, dtype="<f4").astype(np.float32),
                 shape=shape, block_size=header["block_size"],
             )

@@ -352,6 +352,15 @@ class TestExactSolver:
         finally:
             gc.enable()
 
+    def test_1200_layers_on_one_device(self):
+        # deeper than the interpreter's default recursion limit
+        layers = [layer(i, weight=10) for i in range(1200)]
+        plan = solve_placement(layers, [device(0, memory=12_000)], mode="exact")
+        assert plan.feasible
+        assert set(plan.assignment.values()) == {"d0"}
+        assert len(plan.assignment) == 1200
+        assert plan.latency == estimate_latency([0] * 1200, layers, [device(0)])
+
     def test_cli_exact_40_layer_window_under_a_second(self, tmp_path, capsys):
         layers, devices = window_7b(1, 40)
         lpath, dpath = tmp_path / "layers.json", tmp_path / "devices.json"

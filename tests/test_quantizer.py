@@ -4,13 +4,16 @@ checkpoint container."""
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from medserve.quantizer import (
+    _NF4_THRESHOLDS,
+    _TILE_VALUES,
     NF4_LEVELS,
     LayerClass,
     LayerSpec,
@@ -85,6 +88,57 @@ class TestNF4Levels:
         regenerated = [float(v) for v in module.nf4_table()]
         assert len(regenerated) == 16
         assert list(NF4_LEVELS) == regenerated
+
+
+def _closer_to_lower(lo: float, hi: float, x: float) -> bool:
+    return abs(lo - x) <= abs(hi - x)
+
+
+def _boundary_values() -> list[float]:
+    """Every level, every midpoint and every threshold, each +-1 ulp, and
+    +-0.0 and +-1.0."""
+    levels = list(NF4_LEVELS)
+    centres = levels + [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+    centres += [float(t) for t in _NF4_THRESHOLDS]
+    values = [0.0, -0.0, 1.0, -1.0]
+    for c in centres:
+        values += [math.nextafter(c, -2.0), c, math.nextafter(c, 2.0)]
+    return [v for v in values if -1.0 <= v <= 1.0]
+
+
+BOUNDARY_VALUES = _boundary_values()
+
+
+class TestNF4Thresholds:
+    def test_rederived_by_brute_force(self):
+        levels = list(NF4_LEVELS)
+        assert len(_NF4_THRESHOLDS) == 15
+        for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
+            # scan 200 ulps each side of the midpoint; the flip must lie inside
+            x = (lo + hi) / 2
+            for _ in range(200):
+                x = math.nextafter(x, lo)
+            window = []
+            for _ in range(401):
+                window.append(x)
+                x = math.nextafter(x, hi)
+            assert _closer_to_lower(lo, hi, window[0])
+            assert not _closer_to_lower(lo, hi, window[-1])
+            brute = max(v for v in window if _closer_to_lower(lo, hi, v))
+            assert _NF4_THRESHOLDS[i] == brute
+            assert _closer_to_lower(lo, hi, brute)
+            assert not _closer_to_lower(lo, hi, math.nextafter(brute, 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(BOUNDARY_VALUES), min_size=1, max_size=80),
+           st.integers(-60, 60))
+    @example(BOUNDARY_VALUES, 0)
+    def test_codes_match_oracle_at_boundaries(self, values, exponent):
+        # a leading +-1 pins the absmax, and a power-of-two scale divides out
+        # exactly, so the scaled block is the sampled values themselves
+        block = np.array([1.0] + values) * 2.0 ** exponent
+        codes, _, _ = quantize_one_block(block, "nf4")
+        assert list(codes) == nearest_level_codes([1.0] + values, list(NF4_LEVELS))
 
 
 class TestBlockQuantization:
@@ -226,6 +280,74 @@ class TestArrayPathMatchesOracles:
                 assert np.all(err <= oracle + 1e-12 * scale)
             want = ours.astype(np.float64) * np.float64(qt.scales[b]) / 127.0
             assert restored[start:start + block_size].tobytes() == want.tobytes()
+
+
+def _tile_sizes():
+    """(block_size, n): one tile -1, 0 and +1 values, and one tile plus a
+    short tail block, for a block size that divides the tile and one that
+    does not."""
+    for block_size in (64, 48):
+        tile = (_TILE_VALUES // block_size) * block_size
+        for n in (tile - 1, tile, tile + 1, tile + block_size // 3):
+            yield block_size, n
+
+
+class TestTileBoundaries:
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    @pytest.mark.parametrize("block_size,n", list(_tile_sizes()))
+    def test_blocks_match_oracles(self, kind, block_size, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        x[rng.integers(0, n, 500)] = rng.choice(TIE_VALUES, 500)
+        x[block_size:2 * block_size] = 0.0
+        qt = quantize_tensor(x, kind, block_size)
+        if kind == "nf4":
+            codes = unpack_nf4(qt.data, n).astype(np.int64)
+        else:
+            codes = np.frombuffer(qt.data, dtype=np.int8).astype(np.int64)
+        nblocks = -(-n // block_size)
+        tile_rows = _TILE_VALUES // block_size
+        # every block codes as it does alone, in a one-tile call
+        for b in range(nblocks):
+            block = x[b * block_size:(b + 1) * block_size]
+            alone = quantize_tensor(block, kind, block_size)
+            assert qt.scales[b] == alone.scales[0]
+            assert qt.scales[b] == np.float32(np.abs(block).max())
+            if kind == "nf4":
+                want = unpack_nf4(alone.data, block.size)
+            else:
+                want = np.frombuffer(alone.data, dtype=np.int8)
+            assert np.array_equal(codes[b * block_size:b * block_size + block.size], want)
+        # and the blocks on both sides of the tile edge, and the tail, match
+        # the per-element oracles
+        for b in {0, 1, tile_rows - 1, tile_rows, nblocks - 1} & set(range(nblocks)):
+            block = x[b * block_size:(b + 1) * block_size]
+            got = codes[b * block_size:b * block_size + block.size]
+            scale = np.abs(block).max()
+            if scale == 0.0:
+                assert np.all(got == (7 if kind == "nf4" else 0))
+            elif kind == "nf4":
+                assert list(got) == nearest_level_codes(list(block / scale), list(NF4_LEVELS))
+            else:
+                expected = np.array(int8_codes(list(block), scale))
+                assert np.all(np.abs(got - expected) <= 1)
+                err = np.abs(got * scale / 127.0 - block)
+                oracle = np.abs(expected * scale / 127.0 - block)
+                assert np.all(err <= oracle + 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    def test_float32_input_matches_float64(self, kind):
+        x = np.random.default_rng(17).standard_normal(_TILE_VALUES + 100, dtype=np.float32)
+        a = quantize_tensor(x, kind)
+        b = quantize_tensor(x.astype(np.float64), kind)
+        assert a.data == b.data
+        assert a.scales.tobytes() == b.scales.tobytes()
+
+    def test_non_finite_in_a_later_tile_rejected(self):
+        x = np.ones(3 * _TILE_VALUES)
+        x[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_tensor(x, "nf4")
 
 
 class TestPacking:
@@ -508,6 +630,66 @@ class TestCheckpointContainer:
         path = tmp_path / "bad.msq"
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="bad.msq"):
+            read_checkpoint(path)
+
+    def test_failed_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "model.msq"
+        path.write_bytes(b"old bytes")
+        manifest, policy, weights = self._pinned_case()
+        weights["head"].reshape(-1)[7] = 1e5  # the last layer fails
+        with pytest.raises(ValueError, match="head: .*float16 range"):
+            write_checkpoint(path, manifest, policy, weights)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.msq"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        manifest, policy, weights = self._pinned_case()
+        weights["ffn"].reshape(-1)[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            write_checkpoint(tmp_path / "model.msq", manifest, policy, weights)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rewrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "model.msq"
+        path.write_bytes(b"x" * 100_000)  # longer than the checkpoint
+        write_checkpoint(path, *self._pinned_case())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "05e4aceb78d653ff6fae12cfc09931d119da2e75b8a15d609cc5bc6d963067eb"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.msq"]
+
+    @staticmethod
+    def _with_header(blob: bytes, edit) -> bytes:
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:header_end])
+        edit(header)
+        raw = json.dumps(header).encode()
+        return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[header_end:]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["layers"][1].update(bits=5), "bits 5 is not 4, 8 or 16"),
+        (lambda h: h["layers"][1].update(bits=4), "codes_len 117 .* disagree with 4 bits"),
+        (lambda h: h["layers"][1].pop("shape"), "entry has no shape"),
+        (lambda h: h["layers"][1].update(shape=[13, -9]), "shape .* non-negative"),
+        (lambda h: h["layers"][1].update(codes_len=116, scales_len=24),
+         "codes_len 116 and scales_len 24 disagree .* give 117 and 20"),
+    ])
+    def test_bad_layer_entry_named(self, tmp_path, edit, message):
+        # layer 1 is "attn", an 8-bit (13, 9) layer: 117 code and 20 scale bytes
+        path = tmp_path / "bad.msq"
+        tmp_path.joinpath("w").mkdir()
+        path.write_bytes(self._with_header(self._written(tmp_path / "w"), edit))
+        with pytest.raises(ValueError, match=f"bad.msq: layer 'attn': {message}"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("block_size", [0, -24, 2.5, None])
+    def test_bad_block_size_named_at_first_quantized_layer(self, tmp_path, block_size):
+        path = tmp_path / "bad.msq"
+        tmp_path.joinpath("w").mkdir()
+        blob = self._with_header(self._written(tmp_path / "w"),
+                                 lambda h: h.update(block_size=block_size))
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.msq: layer 'embed': block size .* not a "
+                                             "positive integer"):
             read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -614,6 +614,61 @@ class TestCLI:
         header, restored = read_checkpoint(out_path)
         assert set(restored) == {"a", "f"}
 
+    @staticmethod
+    def _manifest(tmp_path, count, shape):
+        classes = ["attention", "feedforward", "embedding", "output"]
+        doc = [{"name": f"l{i}", "class": classes[i % 4], "shape": list(shape)}
+               for i in range(count)]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("size,holds", [
+        (0, "holds 0 values,"),
+        (4 * 256 + 2, "holds 256 values and 2 trailing bytes,"),
+        (4 * 255, "holds 255 values,"),
+        (4 * 257, "holds 257 values,"),
+    ])
+    def test_quantize_weight_file_size_checked(self, tmp_path, capsys, size, holds):
+        mpath = self._manifest(tmp_path, 2, (8, 16))
+        wpath = tmp_path / "weights.bin"
+        wpath.write_bytes(b"\x00" * size)
+        out_path = tmp_path / "model.msq"
+        assert cli_main(["quantize", "--manifest", str(mpath),
+                         "--weights", str(wpath), "--out", str(out_path)]) == 3
+        assert f"weight file {holds} manifest expects 256" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_quantize_weights_memory_bounded_by_a_layer(self, tmp_path, capsys):
+        import tracemalloc
+
+        import numpy as np
+
+        from medserve.quantizer import read_checkpoint
+
+        shape = (512, 1024)  # 2 MiB of float32 per layer, 16 MiB in all
+        mpath = self._manifest(tmp_path, 8, shape)
+        wpath = tmp_path / "weights.bin"
+        rng = np.random.default_rng(5)
+        with open(wpath, "wb") as fh:
+            for _ in range(8):
+                rng.standard_normal(shape, dtype=np.float32).tofile(fh)
+        layer_bytes = 4 * shape[0] * shape[1]
+        out_path = tmp_path / "model.msq"
+        tracemalloc.start()
+        try:
+            code = cli_main(["quantize", "--manifest", str(mpath),
+                             "--weights", str(wpath), "--out", str(out_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the model is 8 layers, 16 as float64; one layer's codes and the
+        # quantizer's fixed 1 MiB tile buffers come to under 3
+        assert peak < 3 * layer_bytes
+        _, restored = read_checkpoint(out_path)
+        assert sorted(restored) == [f"l{i}" for i in range(8)]
+
     def test_place_cli(self, tmp_path, capsys):
         layers = [
             {"id": "l0", "order": 0, "flops": 1e9, "weight_bytes": 100,
