@@ -78,12 +78,11 @@ class LoraAdapter:
 
 @dataclass(frozen=True)
 class StableSvdConfig:
-    """Truncation rank plus the adaptive-ridge and gradient-clip knobs."""
+    """Truncation rank plus the adaptive-ridge knobs."""
 
     rank: int
     lambda0: float = 1e-6
     kappa_max: float = 1e6
-    g_max: float = 1.0
 
     def __post_init__(self):
         if self.rank <= 0:
@@ -92,8 +91,6 @@ class StableSvdConfig:
             raise ValueError("lambda0 must be >= 0")
         if self.kappa_max <= 1:
             raise ValueError("kappa_max must be > 1")
-        if self.g_max <= 0:
-            raise ValueError("g_max must be > 0")
 
 
 def lora_forward(w0, adapter: LoraAdapter, x) -> np.ndarray:

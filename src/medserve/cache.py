@@ -23,7 +23,7 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,23 +37,23 @@ _RECORD_HEADER = struct.Struct("<I")
 
 
 def jaccard(s1, s2) -> float:
-    """|s1 & s2| / |s1 | s2|; two empty sets count as identical (1.0)."""
-    s1, s2 = set(s1), set(s2)
+    """|s1 & s2| / |s1 | s2| of two sets; two empty sets count as identical (1.0)."""
     if not s1 and not s2:
         return 1.0
     return len(s1 & s2) / len(s1 | s2)
 
 
-def embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
-    """Deterministic feature-hashed bag-of-tokens vector, unit L2 norm.
+def embed(text: str) -> np.ndarray:
+    """Deterministic feature-hashed bag-of-tokens vector, EMBED_DIM wide,
+    unit L2 norm.
 
     Token order is irrelevant; empty text maps to the zero vector. The hash
     is md5-based so vectors are stable across processes and platforms.
     """
-    vec = np.zeros(dim, dtype=np.float64)
+    vec = np.zeros(EMBED_DIM, dtype=np.float64)
     for token in tokenize(text):
         digest = hashlib.md5(token.encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:4], "little") % dim
+        idx = int.from_bytes(digest[:4], "little") % EMBED_DIM
         sign = 1.0 if digest[4] & 1 else -1.0
         vec[idx] += sign
     norm = np.linalg.norm(vec)
@@ -85,11 +85,15 @@ class SimilarityConfig:
             raise ValueError("tau must lie in (0, 1]")
 
 
+def _blend(alpha: float, tokens1, vec1, tokens2, vec2) -> float:
+    """alpha * Jaccard(token sets) + (1 - alpha) * cosine(embeddings)."""
+    return alpha * jaccard(tokens1, tokens2) + (1.0 - alpha) * cosine(vec1, vec2)
+
+
 def similarity(q1: str, q2: str, cfg: SimilarityConfig) -> float:
-    """alpha * Jaccard(tokens) + (1 - alpha) * cosine(embeddings)."""
-    j = jaccard(tokenize(q1), tokenize(q2))
-    c = cosine(embed(q1), embed(q2))
-    return cfg.alpha * j + (1.0 - cfg.alpha) * c
+    """The blended similarity a lookup for q1 scores a cached q2 by."""
+    return _blend(cfg.alpha, frozenset(tokenize(q1)), embed(q1),
+                  frozenset(tokenize(q2)), embed(q2))
 
 
 @dataclass
@@ -218,15 +222,6 @@ class CacheStats:
     inserts: int = 0
     evictions: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-        }
-
 
 @dataclass(frozen=True)
 class CacheHit:
@@ -342,11 +337,9 @@ class TwoLevelCache:
 
     def _best_semantic(self, entries, tokens, vec):
         best_entry, best_sim = None, -1.0
+        alpha = self.config.alpha
         for entry in entries:
-            sim = (
-                self.config.alpha * jaccard(tokens, entry.tokens)
-                + (1.0 - self.config.alpha) * cosine(vec, entry.embedding)
-            )
+            sim = _blend(alpha, tokens, vec, entry.tokens, entry.embedding)
             if sim > best_sim:
                 best_entry, best_sim = entry, sim
         if best_entry is not None and best_sim >= self.config.tau:
@@ -368,7 +361,7 @@ class TwoLevelCache:
     def metrics(self) -> dict:
         """The counters, whether appends have stopped reaching the log (also
         true when there is no log), and the appends still queued."""
-        return {**self.stats.as_dict(), "degraded": self.degraded,
+        return {**asdict(self.stats), "degraded": self.degraded,
                 "queue_depth": self._queue.qsize()}
 
     def flush(self):

@@ -139,9 +139,12 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_place(args) -> int:
     from .placement import DeviceSpec, LayerProfile, solve_placement
+    from .quantizer import read_json_records
 
-    layers_doc = json.loads(Path(args.layers).read_text(encoding="utf-8"))
-    devices_doc = json.loads(Path(args.devices).read_text(encoding="utf-8"))
+    layers_doc = read_json_records(
+        args.layers, ("id", "order", "flops", "weight_bytes", "activation_bytes"))
+    devices_doc = read_json_records(
+        args.devices, ("id", "memory_bytes", "throughput_flops", "bandwidth_bytes"))
     layers = [
         LayerProfile(
             id=str(l["id"]), order=int(l["order"]), flops=float(l["flops"]),

@@ -215,15 +215,18 @@ def grid_search_lambdas(candidates, evaluate) -> DistillLossWeights:
     return best
 
 
-def complexity_score(text: str, frequencies, rare_below: int = 5) -> float:
-    """Token count plus 3 per token whose corpus frequency is below rare_below.
+RARE_BELOW = 5  # corpus frequency under which complexity_score counts a token rare
+
+
+def complexity_score(text: str, frequencies) -> float:
+    """Token count plus 3 per token whose corpus frequency is below RARE_BELOW.
 
     Tokens absent from the frequency table count as rare.
     """
     from .query_pipeline import tokenize
 
     tokens = tokenize(text)
-    rare = sum(1 for t in tokens if frequencies.get(t, 0) < rare_below)
+    rare = sum(1 for t in tokens if frequencies.get(t, 0) < RARE_BELOW)
     return float(len(tokens) + 3 * rare)
 
 

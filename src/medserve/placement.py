@@ -4,8 +4,8 @@ The exact solver runs depth-first branch-and-bound over assignments,
 pruning on memory, on a transfer-aware lower bound and on memoized state
 dominance. A greedy fallback walks layers in order taking the device with
 the best affinity (a per-layer ranking by compute speed) that still has
-room. The latency model charges compute per layer plus a transfer term at
-every boundary where the device changes.
+room. The latency model sums one step per layer in layer order, compute plus
+a transfer where the device changes; the exact solver minimizes that sum.
 """
 
 from __future__ import annotations
@@ -96,24 +96,30 @@ def build_affinity(layers, devices) -> np.ndarray:
     return np.divide(slowest - times, spread, out=np.ones_like(times), where=spread > 0)
 
 
-def estimate_latency(assignment: list[int], layers, devices) -> float:
-    """Seconds per token: compute time plus boundary-crossing transfers.
+def _step_cost(layers, devices, i: int, p: int, d: int) -> float:
+    """Seconds for layer i on device d after layer i-1 on device p.
 
-    assignment[i] is the device index for the layer with order index i. A
-    boundary between consecutive layers on different devices costs the
-    earlier layer's activation bytes over the slower of the two links.
+    Layer i's compute on d, plus, when p != d, layer i-1's activation bytes
+    over the slower of the two links. Layer 0 is passed with p == d.
+    """
+    cost = layers[i].flops / devices[d].throughput_flops
+    if p != d:
+        cost += layers[i - 1].activation_bytes / min(
+            devices[p].bandwidth_bytes, devices[d].bandwidth_bytes)
+    return cost
+
+
+def estimate_latency(assignment: list[int], layers, devices) -> float:
+    """Seconds per token: each layer's _step_cost, summed in layer order.
+
+    assignment[i] is the device index for the layer with order index i.
     """
     layers = _ordered(layers)
     if len(assignment) != len(layers):
         raise ValueError("assignment must cover every layer")
     total = 0.0
-    for i, layer in enumerate(layers):
-        total += layer.flops / devices[assignment[i]].throughput_flops
-    for i in range(len(layers) - 1):
-        a, b = assignment[i], assignment[i + 1]
-        if a != b:
-            link = min(devices[a].bandwidth_bytes, devices[b].bandwidth_bytes)
-            total += layers[i].activation_bytes / link
+    for i, d in enumerate(assignment):
+        total += _step_cost(layers, devices, i, assignment[i - 1] if i else d, d)
     return total
 
 
@@ -139,9 +145,8 @@ def _plan(assignment: list[int] | None, layers, devices, mode: str) -> Placement
 def _solve_exact(layers, devices) -> list[int] | None:
     """Exact branch-and-bound over per-layer device choices.
 
-    A path's cost is the forward sum of its steps, each step being a layer's
-    compute plus the transfer into it when the previous layer sits on another
-    device. Two rules prune:
+    A path's cost is the forward sum of its _step_cost steps, which is
+    estimate_latency of the path to the bit. Two rules prune:
 
     - Bound. lb[i][p] is the cheapest cost of layers i..n-1 given layer i-1
       on device p, counting compute and transfers but not memory. A child
@@ -161,18 +166,10 @@ def _solve_exact(layers, devices) -> list[int] | None:
     """
     n, m = len(layers), len(devices)
     weights = [layer.weight_bytes for layer in layers]
-    compute = [[layer.flops / dev.throughput_flops for dev in devices] for layer in layers]
-    bandwidth = [dev.bandwidth_bytes for dev in devices]
-
-    def step_row(i: int, p: int) -> list[float]:
-        """Cost of layer i on each device d after layer i-1 on device p."""
-        act = layers[i - 1].activation_bytes
-        return [
-            compute[i][d] if d == p else compute[i][d] + act / min(bandwidth[p], bandwidth[d])
-            for d in range(m)
-        ]
-
-    step = [None] + [[step_row(i, p) for p in range(m)] for i in range(1, n)]
+    step = [None] + [  # step[i][p][d]
+        [[_step_cost(layers, devices, i, p, d) for d in range(m)] for p in range(m)]
+        for i in range(1, n)
+    ]
     lb = [[0.0] * m for _ in range(n + 1)]
     for i in range(n - 1, 0, -1):
         lb[i] = [min(s + rest for s, rest in zip(step[i][p], lb[i + 1])) for p in range(m)]
@@ -187,7 +184,7 @@ def _solve_exact(layers, devices) -> list[int] | None:
     # children are visited in device-index order as a recursion would.
     assign = [0] * n
     cost = [0.0] * n
-    row = [compute[0]] * n
+    row = [[_step_cost(layers, devices, 0, d, d) for d in range(m)]] * n
     tried = [0] * n
     i = 0
     while i >= 0:

@@ -376,11 +376,26 @@ def synthetic_7b_manifest(blocks: int = 32, hidden: int = 4096,
     return ModelManifest(tuple(layers))
 
 
-def load_manifest(path) -> ModelManifest:
-    """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
+def read_json_records(path, keys) -> list[dict]:
+    """A JSON file holding a list of objects, each with every key in keys.
+
+    Raises ValueError naming the file, and the entry index and key at fault.
+    """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
-        raise ValueError(f"{path}: manifest must be a JSON list of layers")
+        raise ValueError(f"{path}: expected a JSON list of objects, got {type(raw).__name__}")
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: entry {i} is not a JSON object")
+        for key in keys:
+            if key not in item:
+                raise ValueError(f"{path}: entry {i} has no {key!r}")
+    return raw
+
+
+def load_manifest(path) -> ModelManifest:
+    """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
+    raw = read_json_records(path, ("name", "class", "shape"))
     layers = []
     for item in raw:
         layers.append(LayerSpec(

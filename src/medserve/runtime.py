@@ -86,9 +86,6 @@ class PlanCache:
         for key in keys:
             self.get_or_build(key, build)
 
-    def __len__(self):
-        return len(self._plans)
-
 
 # -- attention ------------------------------------------------------------
 
@@ -186,13 +183,6 @@ class EngineProfile:
             raise ValueError("overhead must be >= 0 and memory positive")
 
 
-@dataclass(frozen=True)
-class ScoreCoefficients:
-    throughput: float = 1.0
-    latency: float = 0.5
-    memory: float = 0.2
-
-
 INFEASIBLE = -math.inf
 
 
@@ -207,9 +197,9 @@ def predicted_throughput(engine: EngineProfile, load: WorkloadProfile) -> float:
     return load.mean_output_tokens / predicted_latency(engine, load)
 
 
-def score_engine(engine: EngineProfile, hw: HardwareEnv, load: WorkloadProfile,
-                 coeffs: ScoreCoefficients = ScoreCoefficients()) -> float:
-    """Linear score over predicted throughput, latency, and memory pressure.
+def score_engine(engine: EngineProfile, hw: HardwareEnv, load: WorkloadProfile) -> float:
+    """Linear score: predicted throughput, minus 0.5 x predicted latency,
+    minus 0.2 x the accelerator-memory fraction.
 
     Engines whose memory requirement exceeds accelerator memory are hard
     filtered to -inf. Byte-dimensioned inputs enter only as the usage
@@ -220,9 +210,9 @@ def score_engine(engine: EngineProfile, hw: HardwareEnv, load: WorkloadProfile,
         return INFEASIBLE
     mem_fraction = engine.memory_bytes / hw.accelerator_memory_bytes
     return (
-        coeffs.throughput * predicted_throughput(engine, load)
-        - coeffs.latency * predicted_latency(engine, load)
-        - coeffs.memory * mem_fraction
+        predicted_throughput(engine, load)
+        - 0.5 * predicted_latency(engine, load)
+        - 0.2 * mem_fraction
     )
 
 
@@ -230,13 +220,12 @@ class NoFeasibleEngineError(RuntimeError):
     pass
 
 
-def select_engine(engines, hw: HardwareEnv, load: WorkloadProfile,
-                  coeffs: ScoreCoefficients = ScoreCoefficients()) -> str:
+def select_engine(engines, hw: HardwareEnv, load: WorkloadProfile) -> str:
     """Argmax of score_engine; ties go to the lexicographically smallest id."""
     if not engines:
         raise NoFeasibleEngineError("no engines configured")
     scored = sorted(
-        ((score_engine(e, hw, load, coeffs), e.id) for e in engines),
+        ((score_engine(e, hw, load), e.id) for e in engines),
         key=lambda pair: (-pair[0], pair[1]),
     )
     best_score, best_id = scored[0]
@@ -297,13 +286,15 @@ def decide_mode(candidates, weights: DecisionWeights) -> str:
     return best.mode
 
 
-def tune_weights(history, objective, budget: int = 200, seed: int = 0,
-                 bound: float = 2.0) -> DecisionWeights:
+TUNE_BOUND = 2.0  # tune_weights searches decision weights in [0, TUNE_BOUND]^3
+
+
+def tune_weights(history, objective, budget: int = 200, seed: int = 0) -> DecisionWeights:
     """Random search with local refinement; a desk-scale stand-in for
     Bayesian optimization of the decision weights.
 
     The incumbent starts from the best entry in history (default weights if
-    empty), alternates uniform exploration over [0, bound]^3 with Gaussian
+    empty), alternates uniform exploration over [0, TUNE_BOUND]^3 with Gaussian
     proposals around the incumbent at a shrinking radius, and returns the
     best weights ever observed. Deterministic given the seed.
     """
@@ -320,12 +311,12 @@ def tune_weights(history, objective, budget: int = 200, seed: int = 0,
     rng = np.random.default_rng(seed)
     for i in range(budget):
         if i % 2 == 0:
-            proposal = rng.uniform(0.0, bound, size=3)
+            proposal = rng.uniform(0.0, TUNE_BOUND, size=3)
         else:
-            radius = bound * 0.5 * (1.0 - i / budget) + 1e-3
+            radius = TUNE_BOUND * 0.5 * (1.0 - i / budget) + 1e-3
             proposal = np.clip(
                 np.array(best_w.as_tuple()) + rng.normal(0.0, radius, size=3),
-                0.0, bound,
+                0.0, TUNE_BOUND,
             )
         w = DecisionWeights(*map(float, proposal))
         score = objective(w)

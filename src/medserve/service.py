@@ -12,7 +12,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .cache import TwoLevelCache
@@ -156,11 +156,7 @@ class MedService:
                 "requests": self.request_count,
                 "cache": self.cache.metrics(),
                 "categories": dict(sorted(self.category_counts.items())),
-                "plans": {
-                    "hits": self.plans.stats.hits,
-                    "misses": self.plans.stats.misses,
-                    "builds": self.plans.stats.builds,
-                },
+                "plans": asdict(self.plans.stats),
                 "engine": self.engine_id,
                 "mode": self.mode,
             }

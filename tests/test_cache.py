@@ -94,6 +94,40 @@ class TestSimilarity:
             SimilarityConfig(tau=0.0)
 
 
+SEMANTIC_PAIRS = [  # (probe, cached query), each a semantic near-match
+    ("what is the usual dose of ibuprofen for children",
+     "what is the usual dose of ibuprofen for adults"),
+    ("symptoms of type 2 diabetes in adults", "early symptoms of type 2 diabetes"),
+    ("how is strep throat treated", "how is strep throat diagnosed"),
+]
+
+
+class TestServedSimilarity:
+    """A semantic hit reports similarity(probe, cached query) to the bit."""
+
+    cfg = SimilarityConfig(alpha=0.3, tau=0.5)
+
+    @pytest.mark.parametrize("probe, cached", SEMANTIC_PAIRS)
+    def test_memory_hit(self, tmp_path, probe, cached):
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path, config=self.cfg) as cache:
+            cache.insert(cached, "r", "medication")
+            hit = cache.lookup(probe)
+        assert hit.tier == "memory"
+        assert self.cfg.tau <= hit.similarity < 1.0
+        assert hit.similarity == similarity(probe, cached, self.cfg)
+
+    @pytest.mark.parametrize("probe, cached", SEMANTIC_PAIRS)
+    def test_disk_hit_after_reopen(self, tmp_path, probe, cached):
+        # the reopened entry's embedding is the one decoded from the log
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path, config=self.cfg) as cache:
+            cache.insert(cached, "r", "medication")
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path, config=self.cfg) as cache:
+            hit = cache.lookup(probe)
+        assert hit.tier == "disk"
+        assert self.cfg.tau <= hit.similarity < 1.0
+        assert hit.similarity == similarity(probe, cached, self.cfg)
+
+
 class TestTwoLevelCache:
     def test_exact_hit_after_insert(self, tmp_path):
         with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:

@@ -245,9 +245,9 @@ def dyadic_instance(draw_int, n, m, identical_devices=False):
 
 
 def forward_latency(assignment, layers, devices):
-    """The exact solver's objective: per layer, compute plus the transfer
-    into it, summed in layer order (estimate_latency adds every compute term
-    before the transfers, so the two can differ in the last ulp)."""
+    """The exact solver's objective, written out independently: per layer,
+    compute plus the transfer into it, summed in layer order. estimate_latency
+    sums the same steps in the same order, so the two agree to the bit."""
     total = 0.0
     for i, d in enumerate(assignment):
         step = layers[i].flops / devices[d].throughput_flops
@@ -262,6 +262,30 @@ def forward_latency(assignment, layers, devices):
 def lexicographic_optimum(layers, devices, estimate=estimate_latency):
     _, best = brute_force_placement(layers, devices, estimate)
     return None if best is None else {layers[i].id: devices[d].id for i, d in enumerate(best)}
+
+
+def near_tie_instance(data):
+    """Up to 10 layers on 1-4 devices. Small weights and memories make
+    different prefixes meet in the same (layer, device, memory left) state;
+    repeated values make near-ties."""
+    def value(lo, hi, common):
+        return data.draw(st.one_of(st.sampled_from(common), st.floats(lo, hi)))
+
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, {1: 10, 2: 10, 3: 7, 4: 5}[m]))
+    layers = [
+        LayerProfile(id=f"l{i}", order=i, flops=value(0.0, 5e9, [1e9, 3e9, 7e8]),
+                     weight_bytes=data.draw(st.integers(1, 4)),
+                     activation_bytes=data.draw(st.sampled_from([0, 10**4, 10**8])))
+        for i in range(n)
+    ]
+    devices = [
+        DeviceSpec(id=f"d{j}", memory_bytes=data.draw(st.integers(0, 14)),
+                   throughput_flops=value(5e8, 5e9, [1e9, 3e9]),
+                   bandwidth_bytes=value(1e7, 1e9, [1e8, 3e8]))
+        for j in range(m)
+    ]
+    return layers, devices
 
 
 class TestExactSolver:
@@ -279,25 +303,7 @@ class TestExactSolver:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_brute_force_up_to_10_layers(self, data):
-        # Small weights and memories make different prefixes meet in the same
-        # (layer, device, memory left) state; repeated values make near-ties.
-        def value(lo, hi, common):
-            return data.draw(st.one_of(st.sampled_from(common), st.floats(lo, hi)))
-
-        m = data.draw(st.integers(1, 4))
-        n = data.draw(st.integers(1, {1: 10, 2: 10, 3: 7, 4: 5}[m]))
-        layers = [
-            LayerProfile(id=f"l{i}", order=i, flops=value(0.0, 5e9, [1e9, 3e9, 7e8]),
-                         weight_bytes=data.draw(st.integers(1, 4)),
-                         activation_bytes=data.draw(st.sampled_from([0, 10**4, 10**8])))
-            for i in range(n)
-        ]
-        devices = [
-            DeviceSpec(id=f"d{j}", memory_bytes=data.draw(st.integers(0, 14)),
-                       throughput_flops=value(5e8, 5e9, [1e9, 3e9]),
-                       bandwidth_bytes=value(1e7, 1e9, [1e8, 3e8]))
-            for j in range(m)
-        ]
+        layers, devices = near_tie_instance(data)
         best, _ = brute_force_placement(layers, devices, estimate_latency)
         plan = solve_placement(layers, devices, mode="exact")
         if best is None:
@@ -306,6 +312,33 @@ class TestExactSolver:
             assert plan.feasible
             assert plan.latency == pytest.approx(best, rel=1e-12)
             assert plan.assignment == lexicographic_optimum(layers, devices, forward_latency)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reports_brute_force_optimum_to_the_bit(self, data):
+        # The plan's latency is the sum the search minimized, and brute force
+        # ranks by the same estimate_latency, so both agree exactly.
+        layers, devices = near_tie_instance(data)
+        best, _ = brute_force_placement(layers, devices, estimate_latency)
+        plan = solve_placement(layers, devices, mode="exact")
+        assert plan.feasible == (best is not None)
+        if best is not None:
+            assert plan.latency == best
+            assert plan.assignment == lexicographic_optimum(layers, devices)
+
+    def test_near_tie_regression(self):
+        # Summing every compute term before the transfers made brute force's
+        # optimum here 5.619047619047619 against the plan's 5.6190476190476195,
+        # and brute force chose a different assignment.
+        layers = [LayerProfile(f"l{i}", i, *spec) for i, spec in enumerate([
+            (3e9, 2, 10**8), (1e9, 3, 0), (1e9, 4, 10**8), (3e9, 4, 0), (2e9, 2, 10**4)])]
+        devices = [DeviceSpec(f"d{j}", *spec) for j, spec in enumerate([
+            (7, 3e8, 1e8), (14, 7e9, 1e8), (8, 3e8, 1e8)])]
+        best, _ = brute_force_placement(layers, devices, estimate_latency)
+        plan = solve_placement(layers, devices, mode="exact")
+        assert plan.latency == best
+        assert plan.assignment == lexicographic_optimum(layers, devices)
+        assert plan.assignment == {"l0": "d1", "l1": "d1", "l2": "d0", "l3": "d1", "l4": "d1"}
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.booleans())

@@ -18,7 +18,6 @@ from medserve.runtime import (
     ModeCandidate,
     NoFeasibleEngineError,
     PlanCache,
-    ScoreCoefficients,
     ShapeKey,
     TickCostModel,
     WorkloadProfile,

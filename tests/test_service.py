@@ -710,6 +710,31 @@ class TestCLI:
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out if "->" in line] == ["l0", "l1", "l2", "l3"]
 
+    _LAYER = {"id": "l0", "order": 0, "flops": 1e9, "weight_bytes": 100,
+              "activation_bytes": 10}
+    _DEVICE = {"id": "gpu", "memory_bytes": 1000, "throughput_flops": 2e9,
+               "bandwidth_bytes": 1e8}
+
+    @pytest.mark.parametrize("command, docs, fault", [
+        ("place", {"layers": {"l0": _LAYER}, "devices": [_DEVICE]},
+         "layers.json: expected a JSON list of objects, got dict"),
+        ("place", {"layers": [_LAYER, {k: v for k, v in _LAYER.items() if k != "flops"}],
+                   "devices": [_DEVICE]},
+         "layers.json: entry 1 has no 'flops'"),
+        ("place", {"layers": [_LAYER], "devices": [_DEVICE, 7]},
+         "devices.json: entry 1 is not a JSON object"),
+        ("quantize", {"manifest": [{"name": "a", "class": "attention"}]},
+         "manifest.json: entry 0 has no 'shape'"),
+    ])
+    def test_input_file_fault_named(self, tmp_path, capsys, command, docs, fault):
+        argv = [command]
+        for flag, doc in docs.items():
+            path = tmp_path / f"{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv += [f"--{flag}", str(path)]
+        assert cli_main(argv) == 3
+        assert fault in capsys.readouterr().err
+
     def test_distill_demo_cli(self, tmp_path, capsys):
         out_file = tmp_path / "metrics.tsv"
         assert cli_main(["distill-demo", "--steps", "30",
