@@ -10,6 +10,12 @@ is usable is persisted, so its memory eviction loses nothing; one inserted
 in memory-only or degraded mode is never written and is dropped on eviction.
 Recovery after a crash replays the longest consistent prefix of the log.
 
+Each stored entry's embedding is also one float32 row of a matrix, in log
+order. A semantic lookup scores every row with one matrix-vector product and
+rescores, exactly, only the rows whose cosine could still clear the
+threshold: since Jaccard is at most 1, a blend of at least tau needs a
+cosine of at least (tau - alpha) / (1 - alpha).
+
 Disk appends run on a background writer thread; inserts are acknowledged
 after the memory write and a close() flush barrier drains the queue.
 """
@@ -17,6 +23,7 @@ after the memory write and a close() flush barrier drains the queue.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import queue
 import struct
@@ -24,6 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +43,13 @@ log = logging.getLogger(__name__)
 EMBED_DIM = 64
 _RECORD_HEADER = struct.Struct("<I")
 
+# Slack on the cosine prune. A float32 dot product of two 64-wide unit
+# vectors lies within 64 * 2**-24 (about 3.8e-6) of the float64 cosine the
+# rescoring computes, and the float32 rounding of the embeddings and of the
+# cut itself adds under 1e-6; 1e-4 covers both many times over.
+PRUNE_MARGIN = 1e-4
+_INITIAL_ROWS = 1024
+
 
 def jaccard(s1, s2) -> float:
     """|s1 & s2| / |s1 | s2| of two sets; two empty sets count as identical (1.0)."""
@@ -43,15 +58,16 @@ def jaccard(s1, s2) -> float:
     return len(s1 & s2) / len(s1 | s2)
 
 
-def embed(text: str) -> np.ndarray:
+def embed(text: str, tokens=None) -> np.ndarray:
     """Deterministic feature-hashed bag-of-tokens vector, EMBED_DIM wide,
     unit L2 norm.
 
     Token order is irrelevant; empty text maps to the zero vector. The hash
     is md5-based so vectors are stable across processes and platforms.
+    `tokens`, when given, must be `tokenize(text)`; it saves tokenizing again.
     """
     vec = np.zeros(EMBED_DIM, dtype=np.float64)
-    for token in tokenize(text):
+    for token in tokenize(text) if tokens is None else tokens:
         digest = hashlib.md5(token.encode("utf-8")).digest()
         idx = int.from_bytes(digest[:4], "little") % EMBED_DIM
         sign = 1.0 if digest[4] & 1 else -1.0
@@ -96,6 +112,27 @@ def similarity(q1: str, q2: str, cfg: SimilarityConfig) -> float:
                   frozenset(tokenize(q2)), embed(q2))
 
 
+class QueryFeatures:
+    """What scoring needs of one query, each part computed at most once.
+
+    `tokens`, when given, must be `tokenize(text)` (the service passes the
+    tokens `classify` already made). The embedding is computed on first use,
+    so an exact hit never pays for it.
+    """
+
+    def __init__(self, text: str, tokens=None):
+        self.text = text
+        self.tokens = tokenize(text) if tokens is None else tokens
+
+    @cached_property
+    def token_set(self) -> frozenset[str]:
+        return frozenset(self.tokens)
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        return embed(self.text, self.tokens)
+
+
 @dataclass
 class CacheEntry:
     query: str
@@ -108,11 +145,14 @@ class CacheEntry:
 
     @classmethod
     def build(cls, query: str, response: str, category: str,
-              timestamp: float | None = None) -> "CacheEntry":
+              timestamp: float | None = None, tokens: frozenset[str] | None = None,
+              embedding: np.ndarray | None = None) -> "CacheEntry":
+        """`tokens` and `embedding`, when given, must be the query's token set
+        and `embed(query)`."""
         return cls(
             query=query,
-            tokens=frozenset(tokenize(query)),
-            embedding=embed(query),
+            tokens=frozenset(tokenize(query)) if tokens is None else tokens,
+            embedding=embed(query) if embedding is None else embedding,
             response=response,
             category=category,
             timestamp=time.time() if timestamp is None else timestamp,
@@ -246,8 +286,25 @@ class TwoLevelCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: dict[str, CacheEntry] = {}  # first-insert (log) order
-        self._lru: OrderedDict[str, None] = OrderedDict()
+        # The memory tier in LRU order; a key's value is the tick of its last
+        # touch, so sorting by it restores that order.
+        self._lru: OrderedDict[str, int] = OrderedDict()
+        self._ticks = itertools.count()
         self._unlogged: set[str] = set()
+        # Row i of the matrix is the embedding of _row_entries[i]; rows follow
+        # log order. A dropped entry leaves None in its row until _compact
+        # renumbers. The cosine and mask buffers match the matrix, so a
+        # lookup allocates nothing in proportion to the store.
+        self._matrix = np.zeros((_INITIAL_ROWS, EMBED_DIM), dtype=np.float32)
+        self._cosines = np.empty(_INITIAL_ROWS, dtype=np.float32)
+        self._passing = np.empty(_INITIAL_ROWS, dtype=bool)
+        self._row_entries: list[CacheEntry | None] = []
+        self._row_of: dict[str, int] = {}
+        # A row whose cosine is below the cut has a blend below tau: no
+        # cut when alpha is 1 (cosine has no weight) or the cut is not positive.
+        alpha, tau = self.config.alpha, self.config.tau
+        cut = (tau - alpha) / (1.0 - alpha) - PRUNE_MARGIN if alpha < 1.0 else 0.0
+        self._cut = cut if cut > 0.0 else None
         self._log: DiskLog | None = None
         self.degraded = disk_dir is None
         self._queue: queue.Queue = queue.Queue()
@@ -259,7 +316,8 @@ class TwoLevelCache:
                 log.warning("disk tier unavailable (%s); running memory-only", exc)
                 self.degraded = True
             else:
-                self._entries = {e.query: e for e in entries}
+                for entry in entries:
+                    self._store(entry)
                 self._writer = threading.Thread(
                     target=self._writer_loop, name="cache-writer", daemon=True
                 )
@@ -281,17 +339,22 @@ class TwoLevelCache:
             finally:
                 self._queue.task_done()
 
-    def insert(self, query: str, response: str, category: str = ""):
+    def insert(self, query: str, response: str, category: str = "",
+               features: QueryFeatures | None = None):
         """Store a response; acknowledged after the memory write.
 
         Re-inserting an identical (query, response) pair is a no-op beyond
         recency: the hit count survives and the log does not grow.
+        `features`, when given, are the query's (as passed to `lookup`).
         """
         with self._lock:
             existing = self._entries.get(query)
             if existing is None or existing.response != response:
-                entry = CacheEntry.build(query, response, category)
-                self._entries[query] = entry
+                features = features or QueryFeatures(query)
+                entry = CacheEntry.build(query, response, category,
+                                         tokens=features.token_set,
+                                         embedding=features.embedding)
+                self._store(entry)
                 self.stats.inserts += 1
                 if self._log is not None and not self.degraded:
                     self._queue.put(entry)
@@ -299,41 +362,94 @@ class TwoLevelCache:
                     self._unlogged.add(query)
             self._touch(query)
 
+    def _store(self, entry: CacheEntry):
+        """Put an entry in the store; a query new to it gets the next row."""
+        row = self._row_of.get(entry.query)
+        if row is None:
+            row = len(self._row_entries)
+            if row == len(self._matrix):
+                self._grow()
+            self._row_of[entry.query] = row
+            self._row_entries.append(entry)
+        else:
+            self._row_entries[row] = entry
+        self._matrix[row] = entry.embedding
+        self._entries[entry.query] = entry
+
+    def _drop(self, query: str):
+        """Remove an entry from the store; compact once most rows are dead."""
+        del self._entries[query]
+        row = self._row_of.pop(query)
+        self._row_entries[row] = None
+        if 2 * len(self._row_of) < len(self._row_entries):
+            self._compact()
+
+    def _compact(self):
+        """Renumber the live rows from 0, keeping their (log) order."""
+        live = [row for row, entry in enumerate(self._row_entries) if entry is not None]
+        self._matrix[:len(live)] = self._matrix[live]
+        self._row_entries = [self._row_entries[row] for row in live]
+        self._row_of = {entry.query: row for row, entry in enumerate(self._row_entries)}
+
+    def _grow(self):
+        """Double the matrix and its buffers."""
+        rows = 2 * len(self._matrix)
+        matrix = np.zeros((rows, EMBED_DIM), dtype=np.float32)
+        matrix[:len(self._matrix)] = self._matrix
+        self._matrix = matrix
+        self._cosines = np.empty(rows, dtype=np.float32)
+        self._passing = np.empty(rows, dtype=bool)
+
     def _touch(self, query: str):
         """Put a key at the MRU end of the memory tier, evicting as needed."""
-        self._lru[query] = None
+        self._lru[query] = next(self._ticks)
         self._lru.move_to_end(query)
         while len(self._lru) > self.capacity:
             evicted, _ = self._lru.popitem(last=False)
             self.stats.evictions += 1
             if evicted in self._unlogged:
                 self._unlogged.remove(evicted)
-                del self._entries[evicted]
+                self._drop(evicted)
 
     # -- read path ----------------------------------------------------
 
-    def lookup(self, query: str) -> CacheHit | None:
+    def lookup(self, query: str, features: QueryFeatures | None = None) -> CacheHit | None:
         """Exact match first, then best semantic match (memory then disk).
 
         A memory-tier semantic match that clears tau short-circuits the disk
-        scan. Hits promote the entry to the memory MRU position.
+        scan. Hits promote the entry to the memory MRU position. `features`,
+        when given, must describe `query`; a later `insert` can reuse them.
         """
         with self._lock:
             entry = self._entries.get(query)
             if entry is not None:
                 return self._hit(entry, "memory" if query in self._lru else "disk", 1.0)
-            tokens = frozenset(tokenize(query))
-            vec = embed(query)
-            tiers = (
-                ("memory", map(self._entries.__getitem__, self._lru)),
-                ("disk", (e for q, e in self._entries.items() if q not in self._lru)),
-            )
-            for tier, entries in tiers:
+            features = features or QueryFeatures(query)
+            tokens, vec = features.token_set, features.embedding
+            for tier, entries in zip(("memory", "disk"), self._candidates(vec)):
                 best = self._best_semantic(entries, tokens, vec)
                 if best is not None:
                     return self._hit(best[0], tier, best[1])
             self.stats.misses += 1
             return None
+
+    def _candidates(self, vec: np.ndarray) -> tuple[list, list]:
+        """The entries whose blend with `vec` can reach tau: memory-tier ones
+        in LRU order, then disk-tier ones in log order."""
+        used = len(self._row_entries)
+        if self._cut is None:
+            rows = range(used)
+        else:
+            cosines = np.dot(self._matrix[:used], vec, out=self._cosines[:used])
+            passing = np.greater_equal(cosines, self._cut, out=self._passing[:used])
+            rows = np.flatnonzero(passing).tolist()
+        memory, disk = [], []
+        for row in rows:
+            entry = self._row_entries[row]
+            if entry is not None:
+                (memory if entry.query in self._lru else disk).append(entry)
+        memory.sort(key=lambda e: self._lru[e.query])
+        return memory, disk
 
     def _best_semantic(self, entries, tokens, vec):
         best_entry, best_sim = None, -1.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -22,6 +22,8 @@ class MedicalCategory(Enum):
     PREVENTION = "prevention"
     EMERGENCY = "emergency"
 
+
+_CATEGORIES = tuple(MedicalCategory)
 
 # Ties are resolved by this fixed priority: time-critical routing first,
 # then the order in which a wrong answer is most costly.
@@ -45,9 +47,15 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class KeywordLexicon:
-    """Per-category keyword sets; keywords are lowercase, sets may overlap."""
+    """Per-category keyword sets; keywords are lowercase, sets may overlap.
+
+    `index` maps each keyword to the categories that list it, in
+    MedicalCategory order; it is built once, from `keywords`.
+    """
 
     keywords: dict[MedicalCategory, frozenset[str]]
+    index: dict[str, tuple[MedicalCategory, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [c for c in MedicalCategory if c not in self.keywords]
@@ -56,6 +64,11 @@ class KeywordLexicon:
         for cat, words in self.keywords.items():
             if not words:
                 raise LexiconError(f"lexicon category {cat.value!r} has no keywords")
+        index: dict[str, tuple[MedicalCategory, ...]] = {}
+        for cat in _CATEGORIES:
+            for word in self.keywords[cat]:
+                index[word] = index.get(word, ()) + (cat,)
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True)
@@ -94,10 +107,11 @@ def classify(query: str, lexicon: KeywordLexicon) -> ClassifiedQuery:
     vector falls back to DEFAULT_CATEGORY.
     """
     tokens = tuple(tokenize(query))
-    scores = {
-        cat: sum(1 for tok in tokens if tok in lexicon.keywords[cat])
-        for cat in MedicalCategory
-    }
+    scores = dict.fromkeys(_CATEGORIES, 0)
+    index = lexicon.index
+    for tok in tokens:
+        for cat in index.get(tok, ()):
+            scores[cat] += 1
     best = max(scores.values())
     if best == 0:
         category = DEFAULT_CATEGORY

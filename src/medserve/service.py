@@ -4,18 +4,24 @@ MedService wires the pipeline together behind one handle_query call; the
 HTTP layer is a thin stdlib server exposing POST /v1/query, GET /v1/metrics,
 and GET /healthz. Engine choice and deployment mode are decided once at
 startup (and again on explicit reload), not per request.
+
+The server accepts on one thread and hands each connection to a fixed pool
+of POOL_WORKERS threads through a queue of at most ACCEPT_QUEUE_SLOTS
+connections; a connection that finds the queue full gets a 503 at once.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
+import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from .cache import TwoLevelCache
+from .cache import QueryFeatures, TwoLevelCache
 from .config import ServiceConfig
 from .engines import RemoteEngineError, remote_engine_generate
 from .query_pipeline import (
@@ -32,6 +38,8 @@ from .runtime import PlanCache, decide_mode, select_engine, shape_bucket
 log = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024
+POOL_WORKERS = 4  # request threads; requests are GIL-bound, so few suffice
+ACCEPT_QUEUE_SLOTS = 64  # accepted connections waiting for a worker
 
 
 class BadRequest(ValueError):
@@ -70,6 +78,12 @@ class MedService:
         self.config = config
         self.lexicon: KeywordLexicon = load_lexicon(config.lexicon_path)
         self.templates: PromptTemplate = load_templates(config.templates_path)
+        # A prompt's token count less its query's: build_prompt joins its
+        # parts with newlines, which no token spans.
+        self._template_tokens = {
+            cat: len(tokenize(f"{self.templates.base}\n{suffix}"))
+            for cat, suffix in self.templates.suffixes.items()
+        }
         self.cache = TwoLevelCache(
             capacity=config.cache.capacity,
             disk_dir=config.cache.disk_dir,
@@ -126,20 +140,20 @@ class MedService:
             self.request_count += 1
             self.category_counts[category] = self.category_counts.get(category, 0) + 1
 
-        hit = self.cache.lookup(text)
+        features = QueryFeatures(text, classified.tokens)
+        hit = self.cache.lookup(text, features)
         if hit is not None:
             answer, tier, delay_s = hit.response, hit.tier, 0.0
         else:
             prompt = build_prompt(classified, self.templates)
-            key = shape_bucket(
-                max(len(tokenize(prompt)), 1), 1, self.config.runtime.plan_bucket
-            )
+            prompt_tokens = self._template_tokens[classified.category] + len(classified.tokens)
+            key = shape_bucket(max(prompt_tokens, 1), 1, self.config.runtime.plan_bucket)
             self.plans.get_or_build(key, self._build_plan)
             answer, delay_s = self._generate(prompt, category)
             tier = "miss"
             # Insert only after a successful generation so backend failures
             # cannot poison the cache.
-            self.cache.insert(text, answer, category)
+            self.cache.insert(text, answer, category, features)
         return QueryResponse(
             answer=answer,
             category=category,
@@ -224,13 +238,97 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("http: " + fmt, *args)
 
 
+_BUSY_BODY = json.dumps({"error": "server busy"}).encode("utf-8")
+_BUSY_RESPONSE = (
+    "HTTP/1.0 503 Service Unavailable\r\n"
+    "Content-Type: application/json\r\n"
+    f"Content-Length: {len(_BUSY_BODY)}\r\n"
+    "Connection: close\r\n\r\n"
+).encode("ascii") + _BUSY_BODY
+
+
+class PooledHTTPServer(HTTPServer):
+    """An HTTPServer whose requests run on POOL_WORKERS threads started with
+    it, fed by a queue of at most ACCEPT_QUEUE_SLOTS accepted connections.
+
+    The accept thread never blocks on a client: a connection that finds the
+    queue full is sent a 503 without waiting and closed. server_close() also
+    drops queued connections, cuts off the ones being served and stops the
+    workers.
+    """
+
+    def __init__(self, server_address, RequestHandlerClass):
+        super().__init__(server_address, RequestHandlerClass)
+        self._pending: queue.SimpleQueue = queue.SimpleQueue()
+        self._serving: set[socket.socket] = set()  # connections workers hold
+        self._serving_lock = threading.Lock()
+        self._workers = [
+            threading.Thread(target=self._work, name=f"http-worker-{i}", daemon=True)
+            for i in range(POOL_WORKERS)
+        ]
+        for worker in self._workers:
+            worker.start()
+
+    def process_request(self, request, client_address):
+        # Only the accept thread puts, so the size it reads cannot grow
+        # before the put.
+        if self._pending.qsize() >= ACCEPT_QUEUE_SLOTS:
+            self._refuse(request)
+        else:
+            self._pending.put((request, client_address))
+
+    def _refuse(self, request):
+        try:
+            request.setblocking(False)
+            request.send(_BUSY_RESPONSE)
+        except OSError:
+            pass  # a full send buffer or a gone client: nothing to deliver
+        self.shutdown_request(request)
+
+    def _work(self):
+        while True:
+            item = self._pending.get()
+            if item is None:
+                return
+            request, client_address = item
+            with self._serving_lock:
+                self._serving.add(request)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._serving_lock:
+                    self._serving.remove(request)
+                self.shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        while True:
+            try:
+                request, _ = self._pending.get_nowait()
+            except queue.Empty:
+                break
+            self.shutdown_request(request)
+        with self._serving_lock:
+            for request in self._serving:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already closed by its worker
+        for _ in self._workers:
+            self._pending.put(None)
+        for worker in self._workers:
+            worker.join()
+
+
 def make_server(service: MedService, host: str | None = None,
-                port: int | None = None) -> ThreadingHTTPServer:
+                port: int | None = None) -> PooledHTTPServer:
     """Bind the HTTP server; port 0 picks a free port (server_address[1])."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
     address = (host or service.config.host,
                service.config.port if port is None else port)
-    return ThreadingHTTPServer(address, handler)
+    return PooledHTTPServer(address, handler)
 
 
 def serve_forever(config: ServiceConfig, host: str | None = None,

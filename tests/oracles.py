@@ -4,9 +4,10 @@ These deliberately avoid the library code paths (and numpy.linalg.svd,
 which backs the production SVD): singular values come from a hand-rolled
 one-sided Jacobi sweep, quantization codes from literal nearest-neighbor
 loops, and attention from the direct definition. The cache oracle keeps the
-earlier two-dict cache logic over the library's similarity math and log, and
-the placement oracles are exhaustive enumeration and the earlier
-branch-and-bound solver.
+earlier two-dict cache logic over the library's similarity math and log, the
+classifier oracle counts keyword matches one category at a time, and the
+placement oracles are exhaustive enumeration and the earlier branch-and-bound
+solver.
 """
 
 import math
@@ -25,7 +26,13 @@ from medserve.cache import (
     jaccard,
 )
 from medserve.placement import build_affinity
-from medserve.query_pipeline import tokenize
+from medserve.query_pipeline import (
+    DEFAULT_CATEGORY,
+    TIE_BREAK_ORDER,
+    ClassifiedQuery,
+    MedicalCategory,
+    tokenize,
+)
 
 
 def jacobi_svd(m, sweeps: int = 60, tol: float = 1e-14):
@@ -126,6 +133,22 @@ def reference_attention(q, k, v):
         for j in range(m):
             out[i] += weights[j] * v[j]
     return out
+
+
+def classify_by_category(query, lexicon) -> ClassifiedQuery:
+    """classify as one pass over the tokens per category, counting each token
+    occurrence found in that category's keyword set."""
+    tokens = tuple(tokenize(query))
+    scores = {
+        cat: sum(1 for tok in tokens if tok in lexicon.keywords[cat])
+        for cat in MedicalCategory
+    }
+    best = max(scores.values())
+    if best == 0:
+        category = DEFAULT_CATEGORY
+    else:
+        category = next(c for c in TIE_BREAK_ORDER if scores[c] == best)
+    return ClassifiedQuery(raw=query, tokens=tokens, category=category, scores=scores)
 
 
 def brute_force_placement(layers, devices, estimate):

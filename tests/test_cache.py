@@ -1,17 +1,19 @@
 """Tests for similarity math, the two-tier cache, and crash recovery."""
 
 import gc
+import math
 import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import TwoDictCache
 
 from medserve.cache import (
     CacheEntry,
+    QueryFeatures,
     SimilarityConfig,
     TwoLevelCache,
     cosine,
@@ -354,6 +356,178 @@ class TestMatchesTwoDictOracle:
             finally:
                 cache.close()
                 oracle.close()
+
+
+def assert_rows_follow_store(cache):
+    """Matrix row i holds the embedding of row entry i, the live row entries
+    are the store in log order, and at most half the used rows are dead."""
+    rows = cache._row_entries
+    live = [entry for entry in rows if entry is not None]
+    assert [e.query for e in live] == list(cache._entries)
+    assert all(a is b for a, b in zip(live, cache._entries.values()))
+    assert cache._row_of == {e.query: r for r, e in enumerate(rows) if e is not None}
+    for row, entry in enumerate(rows):
+        assert entry is None or np.array_equal(cache._matrix[row], entry.embedding), row
+    assert len(rows) <= 2 * len(live)
+
+
+class TestEmbeddingRows:
+    """One matrix row per stored entry, in log order."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(capacity=st.integers(1, 3), with_disk=st.booleans(), ops=_ops)
+    def test_rows_follow_store(self, capacity, with_disk, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = tmp if with_disk else None
+            cache = TwoLevelCache(capacity, directory)
+            try:
+                for op in ops:
+                    if op[0] == "insert":
+                        cache.insert(*op[1:])
+                    elif op[0] == "lookup":
+                        cache.lookup(op[1])
+                    elif op[0] == "degrade":
+                        cache.degraded = True
+                    else:
+                        cache.close()
+                        cache = TwoLevelCache(capacity, directory)
+                    assert_rows_follow_store(cache)
+            finally:
+                cache.close()
+
+    def test_reopen_rebuilds_rows_from_log(self, tmp_path):
+        queries = [f"fever and rash day {i}" for i in range(5)]
+        with TwoLevelCache(capacity=2, disk_dir=tmp_path) as cache:
+            for q in queries:
+                cache.insert(q, "r1")
+            cache.insert(queries[0], "r2")  # a second record for one query
+        with TwoLevelCache(capacity=2, disk_dir=tmp_path) as cache:
+            assert_rows_follow_store(cache)
+            assert [e.query for e in cache._row_entries] == queries
+            hit = cache.lookup("day 3 rash and fever")
+            assert (hit.tier, hit.response) == ("disk", "r1")
+            assert cache.lookup("rash and fever day 0").response == "r2"
+
+    def test_evicted_unlogged_entry_drops_its_row(self):
+        with TwoLevelCache(capacity=2) as cache:
+            for q in ("chest pain at night", "dose of ibuprofen", "fever in children"):
+                cache.insert(q, "r")
+            assert "chest pain at night" not in cache._row_of
+            assert_rows_follow_store(cache)
+            assert cache.lookup("night pain at chest") is None
+            for i in range(20):  # compacts every few inserts
+                cache.insert(f"query {i}", "r")
+                assert_rows_follow_store(cache)
+            assert len(cache._row_entries) <= 4
+
+    def test_reinsert_adds_no_row(self, tmp_path):
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
+            cache.insert("chest pain", "r1")
+            cache.insert("chest pain", "r1")
+            cache.insert("chest pain", "r2")
+            assert len(cache._row_entries) == 1
+            assert_rows_follow_store(cache)
+
+    def test_matrix_grows_past_its_initial_rows(self, tmp_path):
+        with TwoLevelCache(capacity=2, disk_dir=tmp_path) as cache:
+            initial = len(cache._matrix)
+            for i in range(initial + 1):
+                cache.insert(f"query number {i}", "r")
+            assert len(cache._matrix) == 2 * initial
+            assert len(cache._cosines) == len(cache._passing) == 2 * initial
+            assert_rows_follow_store(cache)
+            assert cache.lookup(f"{initial - 5} number query").tier == "disk"
+
+
+_WORDS = ["chest", "pain", "dose", "fever", "rash", "cough", "sleep"]
+
+
+class TestCosinePrune:
+    """The cut keeps every entry whose blend can reach tau.
+
+    A cached query with the probe's token set but other multiplicities has
+    Jaccard 1, so its blend is alpha + (1 - alpha) * cosine: it sits exactly
+    on the bound the prune relies on. With tau set to that blend the entry's
+    cosine is the cut itself (a hit); one ulp higher, it is just below (a
+    miss).
+    """
+
+    @settings(deadline=None, max_examples=150)
+    @given(words=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4, unique=True),
+           repeats=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           alpha=st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+    # float32 scores this pair's cosine below its float64 value: the margin's case
+    @example(words=["rash", "cough", "sleep"], repeats=[2, 1, 2, 0], alpha=0.3)
+    @example(words=["chest", "pain"], repeats=[1, 0, 0, 0], alpha=0.0)
+    def test_entry_on_the_cut(self, words, repeats, alpha):
+        probe = " ".join(words)
+        cached = " ".join(w for w, k in zip(words, repeats) for _ in range(1 + k))
+        assume(probe != cached)
+        sim = similarity(probe, cached, SimilarityConfig(alpha=alpha))
+        assume(alpha < sim)
+        with TwoLevelCache(4, config=SimilarityConfig(alpha=alpha, tau=sim)) as cache:
+            cache.insert("unrelated words here", "other")
+            cache.insert(cached, "r")
+            hit = cache.lookup(probe)
+        assert hit is not None and hit.response == "r" and hit.similarity == sim
+        above = math.nextafter(sim, 2.0)
+        if above <= 1.0:
+            with TwoLevelCache(4, config=SimilarityConfig(alpha=alpha, tau=above)) as cache:
+                cache.insert(cached, "r")
+                assert cache.lookup(probe) is None
+
+    @pytest.mark.parametrize("alpha, tau, hits", [
+        (0.3, 0.92, False),  # cut 0.886: a zero embedding is pruned, rightly
+        (0.5, 0.5, True),    # tau <= alpha: no cut; Jaccard 1 alone reaches tau
+        (1.0, 0.9, True),    # alpha 1: cosine has no weight, no cut
+    ])
+    def test_empty_tokenization(self, alpha, tau, hits):
+        cfg = SimilarityConfig(alpha=alpha, tau=tau)
+        oracle = TwoDictCache(4, config=cfg)  # memory-only: nothing to close
+        with TwoLevelCache(4, config=cfg) as cache:
+            for c in (cache, oracle):
+                c.insert("???", "r", "diagnosis")
+            got = cache.lookup("!!!")
+            assert got == oracle.lookup("!!!")
+            assert (got is not None) == hits
+            if hits:
+                assert got.similarity == similarity("!!!", "???", cfg)
+            assert cache.lookup("???").similarity == 1.0
+
+    def test_ties_go_to_the_first_in_scan_order(self, tmp_path):
+        # "fever rash" and "rash fever" score alike against any probe: the
+        # memory tier must pick the least recently used, the disk tier the
+        # first logged, as a full scan does
+        cfg = SimilarityConfig(alpha=0.3, tau=0.5)
+        probe = "fever rash cough"
+        with TwoLevelCache(2, tmp_path / "store", cfg) as cache:
+            oracle = TwoDictCache(2, tmp_path / "oracle", cfg)
+            try:
+                for c in (cache, oracle):
+                    c.insert("fever rash", "first logged")
+                    c.insert("rash fever", "second logged")
+                    c.lookup("fever rash")  # LRU order is now the reverse
+                hit = cache.lookup(probe)
+                assert hit == oracle.lookup(probe)
+                assert (hit.tier, hit.response) == ("memory", "second logged")
+                for c in (cache, oracle):
+                    c.insert("dose of aspirin", "r")
+                    c.insert("sleep apnea", "r")  # both ties now on disk
+                hit = cache.lookup(probe)
+                assert hit == oracle.lookup(probe)
+                assert (hit.tier, hit.response) == ("disk", "first logged")
+            finally:
+                oracle.close()
+
+    def test_features_reused_for_insert(self):
+        features = QueryFeatures("Chest pain, chest!", ("chest", "pain", "chest"))
+        with TwoLevelCache(4) as cache:
+            assert cache.lookup("Chest pain, chest!", features) is None
+            cache.insert("Chest pain, chest!", "r", "emergency", features)
+            entry = cache._entries["Chest pain, chest!"]
+        assert entry.tokens is features.token_set
+        assert entry.embedding is features.embedding
+        assert np.array_equal(entry.embedding, embed("Chest pain, chest!"))
 
 
 class TestCrashRecovery:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import classify_by_category
 
 from medserve.config import packaged_data
 from medserve.query_pipeline import (
@@ -111,6 +112,23 @@ class TestClassify:
         if best > 0:
             winners = [c for c in TIE_BREAK_ORDER if result.scores[c] == best]
             assert result.category is winners[0]
+
+    @given(
+        words=st.lists(st.sampled_from(["ab", "AB", "cd", "ef", "gh", "zz"]), max_size=20),
+        separators=st.lists(st.sampled_from([" ", ", ", "!\n", "-"]), min_size=1),
+        keywords=st.permutations(CATS).flatmap(lambda order: st.fixed_dictionaries({
+            cat: st.sets(st.sampled_from(["ab", "cd", "ef", "gh", "Gh"]), min_size=1)
+            for cat in order
+        })),
+    )
+    def test_index_matches_per_category_counts(self, words, separators, keywords):
+        # overlapping keyword sets, lexicon dicts in any category order,
+        # mixed case and punctuation in the query
+        text = "".join(w + separators[i % len(separators)] for i, w in enumerate(words))
+        lex = KeywordLexicon(keywords)
+        got, want = classify(text, lex), classify_by_category(text, lex)
+        assert got == want
+        assert list(got.scores) == list(want.scores) == CATS
 
     def test_monotonicity_of_private_keyword(self):
         lex = make_lexicon(prevention={"vaccine"})

@@ -4,12 +4,14 @@ import dataclasses
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from medserve import cache as cache_module, query_pipeline, service as service_module
 from medserve.bench import BenchSpec, run_bench, synthetic_queries
 from medserve.cache import DiskLog
 from medserve.cli import main as cli_main
@@ -29,6 +31,7 @@ from medserve.engines import (
     remote_engine_generate,
 )
 from medserve.quantizer import PrecisionPolicy
+from medserve.query_pipeline import ClassifiedQuery, MedicalCategory, build_prompt, tokenize
 from medserve.service import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -286,6 +289,48 @@ class TestServicePipeline:
         finally:
             service.close()
 
+    def test_features_computed_once_per_request(self, config, monkeypatch):
+        service = MedService(config)
+        calls = {"tokenize": 0, "embed": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        counting_tokenize = counted("tokenize", tokenize)
+        for module in (query_pipeline, cache_module, service_module):
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(cache_module, "embed", counted("embed", cache_module.embed))
+        try:
+            # (query, tier): a miss, an exact hit, then a reordered paraphrase
+            for text, tier, tokenized, embedded in [
+                ("what dose of aspirin helps a headache", "miss", 1, 1),
+                ("what dose of aspirin helps a headache", "memory", 1, 0),
+                ("a headache helps what dose of aspirin", "memory", 1, 1),
+            ]:
+                calls.update(tokenize=0, embed=0)
+                assert service.handle_query(text).cache_tier == tier
+                assert calls == {"tokenize": tokenized, "embed": embedded}, text
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("text", [
+        "what dose of aspirin", "Chest\npain!!", "İstanbul ΣΑΣ straße 42x", "???",
+        "a\r\nb\tc", "word" * 50,
+    ])
+    def test_prompt_token_count_matches_built_prompt(self, config, text):
+        service = MedService(config)
+        try:
+            for category in MedicalCategory:
+                classified = ClassifiedQuery(text, tuple(tokenize(text)), category, {})
+                prompt = build_prompt(classified, service.templates)
+                assert (service._template_tokens[category] + len(classified.tokens)
+                        == len(tokenize(prompt)))
+        finally:
+            service.close()
+
     def test_plan_cache_warmed_from_config_and_extended(self, config):
         service = MedService(config)
         try:
@@ -459,6 +504,91 @@ class TestHTTPAPI:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(base + "/nope", timeout=5)
         assert err.value.code == 404
+
+
+def _wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class TestWorkerPool:
+    """The fixed pool, shrunk to 2 workers and 1 queue slot, against clients
+    that connect and send nothing."""
+
+    @pytest.fixture()
+    def pool(self, config, monkeypatch):
+        monkeypatch.setattr(service_module, "POOL_WORKERS", 2)
+        monkeypatch.setattr(service_module, "ACCEPT_QUEUE_SLOTS", 1)
+        service = MedService(config)
+        httpd = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        stalled = []
+        yield httpd, stalled
+        for sock in stalled:
+            sock.close()
+        httpd.shutdown()
+        httpd.server_close()
+        service.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _stall(httpd, stalled, condition):
+        """Open a connection that sends nothing; wait until the server holds it."""
+        stalled.append(socket.create_connection(httpd.server_address, timeout=5))
+        _wait_until(condition)
+
+    @staticmethod
+    def _serving(httpd):
+        with httpd._serving_lock:
+            return len(httpd._serving)
+
+    def test_free_worker_serves_healthz(self, pool):
+        httpd, stalled = pool
+        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
+        base = f"http://127.0.0.1:{httpd.server_address[1]}"
+        with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+            assert resp.status == 200
+
+    def test_full_queue_answers_503_fast(self, pool):
+        httpd, stalled = pool
+        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
+        self._stall(httpd, stalled, lambda: self._serving(httpd) == 2)
+        self._stall(httpd, stalled, lambda: httpd._pending.qsize() == 1)
+        start = time.monotonic()
+        # read without sending, so closing with unread input cannot reset the answer away
+        with socket.create_connection(httpd.server_address, timeout=1.0) as sock:
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        elapsed = time.monotonic() - start
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 503 ")
+        assert json.loads(body) == {"error": "server busy"}
+        assert elapsed < 1.0
+
+    def test_thread_count_flat_across_connections(self, pool):
+        httpd, _ = pool
+        base = f"http://127.0.0.1:{httpd.server_address[1]}"
+        before = threading.active_count()
+        for _ in range(20):
+            with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+                assert resp.status == 200
+            assert threading.active_count() == before
+
+    def test_server_close_returns_while_client_stalls(self, pool):
+        httpd, stalled = pool
+        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
+        self._stall(httpd, stalled, lambda: self._serving(httpd) == 2)
+        self._stall(httpd, stalled, lambda: httpd._pending.qsize() == 1)
+        start = time.monotonic()
+        httpd.shutdown()
+        httpd.server_close()
+        assert time.monotonic() - start < httpd.RequestHandlerClass.timeout / 2
+        assert not any(worker.is_alive() for worker in httpd._workers)
 
 
 class TestBench:
