@@ -73,10 +73,16 @@ class KeywordLexicon:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Shared base prompt plus one suffix per category (suffix may be empty)."""
+    """Shared base prompt plus one suffix per category (suffix may be empty).
+
+    `token_counts` maps each category to the number of tokens build_prompt
+    adds to a query's; it is built once, from `base` and `suffixes`.
+    """
 
     base: str
     suffixes: dict[MedicalCategory, str]
+    token_counts: dict[MedicalCategory, int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base:
@@ -84,6 +90,11 @@ class PromptTemplate:
         missing = [c for c in MedicalCategory if c not in self.suffixes]
         if missing:
             raise LexiconError(f"templates missing categories: {[c.value for c in missing]}")
+        # build_prompt joins its parts with newlines, which no token spans
+        object.__setattr__(self, "token_counts", {
+            cat: len(tokenize(f"{self.base}\n{suffix}"))
+            for cat, suffix in self.suffixes.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,12 @@ def build_prompt(classified: ClassifiedQuery, templates: PromptTemplate) -> str:
         raise LexiconError(f"no suffix configured for category {classified.category.value!r}")
     suffix = templates.suffixes[classified.category]
     return f"{templates.base}\n{suffix}\n{classified.raw}"
+
+
+def prompt_token_count(classified: ClassifiedQuery, templates: PromptTemplate) -> int:
+    """len(tokenize(build_prompt(classified, templates))), from the query's
+    tokens, without building or tokenizing the prompt."""
+    return templates.token_counts[classified.category] + len(classified.tokens)
 
 
 def _category_map(raw: dict, path, what: str) -> dict[MedicalCategory, object]:

@@ -5,16 +5,19 @@ HTTP layer is a thin stdlib server exposing POST /v1/query, GET /v1/metrics,
 and GET /healthz. Engine choice and deployment mode are decided once at
 startup (and again on explicit reload), not per request.
 
-The server accepts on one thread and hands each connection to a fixed pool
-of POOL_WORKERS threads through a queue of at most ACCEPT_QUEUE_SLOTS
-connections; a connection that finds the queue full gets a 503 at once.
+The server accepts connections and receives their requests on one thread,
+then hands each received request to a fixed pool of POOL_WORKERS threads;
+see PooledHTTPServer for the bounds and the 503.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import queue
+import re
+import selectors
 import socket
 import threading
 import time
@@ -31,15 +34,16 @@ from .query_pipeline import (
     classify,
     load_lexicon,
     load_templates,
-    tokenize,
+    prompt_token_count,
 )
 from .runtime import PlanCache, decide_mode, select_engine, shape_bucket
 
 log = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024
-POOL_WORKERS = 4  # request threads; requests are GIL-bound, so few suffice
-ACCEPT_QUEUE_SLOTS = 64  # accepted connections waiting for a worker
+POOL_WORKERS = 16  # request threads; also the most engine calls in flight
+INTAKE_SLOTS = 128  # connections whose request is still arriving
+QUEUE_SLOTS = 64  # received requests waiting for a worker
 
 
 class BadRequest(ValueError):
@@ -78,12 +82,6 @@ class MedService:
         self.config = config
         self.lexicon: KeywordLexicon = load_lexicon(config.lexicon_path)
         self.templates: PromptTemplate = load_templates(config.templates_path)
-        # A prompt's token count less its query's: build_prompt joins its
-        # parts with newlines, which no token spans.
-        self._template_tokens = {
-            cat: len(tokenize(f"{self.templates.base}\n{suffix}"))
-            for cat, suffix in self.templates.suffixes.items()
-        }
         self.cache = TwoLevelCache(
             capacity=config.cache.capacity,
             disk_dir=config.cache.disk_dir,
@@ -146,7 +144,7 @@ class MedService:
             answer, tier, delay_s = hit.response, hit.tier, 0.0
         else:
             prompt = build_prompt(classified, self.templates)
-            prompt_tokens = self._template_tokens[classified.category] + len(classified.tokens)
+            prompt_tokens = prompt_token_count(classified, self.templates)
             key = shape_bucket(max(prompt_tokens, 1), 1, self.config.runtime.plan_bucket)
             self.plans.get_or_build(key, self._build_plan)
             answer, delay_s = self._generate(prompt, category)
@@ -181,7 +179,7 @@ class MedService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: MedService = None  # set by make_server
-    timeout = 10.0  # seconds a client may stall on the socket mid-request
+    timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
 
     def _send(self, status: int, payload: dict):
         body = json.dumps(payload).encode("utf-8")
@@ -246,22 +244,112 @@ _BUSY_RESPONSE = (
     "Connection: close\r\n\r\n"
 ).encode("ascii") + _BUSY_BODY
 
+_RECV_BYTES = 64 * 1024
+_MAX_HEAD_BYTES = 64 * 1024  # request line and headers the intake waits for
+_HEAD_END = re.compile(rb"\n\r?\n")
+_CONTENT_LENGTH = re.compile(rb"^content-length:([^\r\n]*)", re.IGNORECASE | re.MULTILINE)
+
+
+class _Arrival:
+    """An accepted connection and the bytes of its request received so far.
+
+    The request handler takes it for the socket: reads replay the received
+    bytes (see _Replay), everything else goes to the socket.
+    """
+
+    def __init__(self, sock: socket.socket, client_address, deadline: float):
+        self.sock = sock
+        self.client_address = client_address
+        self.deadline = deadline
+        self.received = bytearray()
+        self.size: int | None = None  # bytes the request spans, once its head is in
+        self.cut_off = False  # the deadline or the head cap ended the intake
+
+    def take(self, data: bytes) -> bool:
+        """Add received bytes; True once the request is in or is cut off."""
+        self.received += data
+        if self.size is None:
+            end = _HEAD_END.search(self.received)
+            if end is None:
+                self.cut_off = len(self.received) > _MAX_HEAD_BYTES
+                return self.cut_off
+            self.size = end.end() + self._body_length(end.end())
+        return len(self.received) >= self.size
+
+    def _body_length(self, head_end: int) -> int:
+        """The body _Handler.do_POST reads: a Content-Length of digits up to
+        MAX_BODY_BYTES, else none (it answers 400 or 413 from the head)."""
+        match = _CONTENT_LENGTH.search(
+            self.received, self.received.index(b"\n") + 1, head_end)
+        if match is None:
+            return 0
+        # http.client decodes header lines as latin-1; the handler strips
+        length = match.group(1).decode("latin-1").strip()
+        if not (length.isascii() and length.isdigit()):
+            return 0
+        # int() refuses strings of over 4,300 digits; this one has at most 6
+        digits = length.lstrip("0") or "0"
+        if len(digits) <= len(str(MAX_BODY_BYTES)) and int(digits) <= MAX_BODY_BYTES:
+            return int(digits)
+        return 0
+
+    def makefile(self, mode="rb", buffering=None):
+        return _Replay(self.received, self.cut_off)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+class _Replay(io.BytesIO):
+    """A request's received bytes, read the way the handler reads a socket.
+
+    Reading past them ends the stream, or raises TimeoutError when the intake
+    was cut off, as a stalled socket would: the handler then answers 408 or
+    closes, exactly as for a socket timeout.
+    """
+
+    def __init__(self, data: bytes, cut_off: bool):
+        super().__init__(data)
+        self._cut_off = cut_off
+
+    def read(self, size=-1):
+        data = super().read(size)
+        if self._cut_off and (size is None or size < 0 or len(data) < size):
+            raise TimeoutError("request not received in time")
+        return data
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        if (self._cut_off and not line.endswith(b"\n")
+                and (size is None or size < 0 or len(line) < size)):
+            raise TimeoutError("request not received in time")
+        return line
+
 
 class PooledHTTPServer(HTTPServer):
-    """An HTTPServer whose requests run on POOL_WORKERS threads started with
-    it, fed by a queue of at most ACCEPT_QUEUE_SLOTS accepted connections.
+    """An HTTPServer that reads each request in full on the accept thread,
+    then runs it on one of POOL_WORKERS threads started with the server.
 
-    The accept thread never blocks on a client: a connection that finds the
-    queue full is sent a 503 without waiting and closed. server_close() also
-    drops queued connections, cuts off the ones being served and stops the
-    workers.
+    serve_forever() accepts connections and receives their requests through
+    one selector; at most INTAKE_SLOTS connections may be arriving, each
+    for at most the handler's timeout from its accept, and a connection cut
+    off by that deadline is handed on to get its 408. A received request
+    waits for a worker in a queue of at most QUEUE_SLOTS. No worker ever
+    waits on a client's input, so idle or trickling clients cannot hold the
+    pool. A connection that finds the intake or the queue full is answered
+    503 and closed without blocking. server_close() closes the connections
+    still arriving or queued and stops the workers once they finish the
+    requests in hand.
     """
 
     def __init__(self, server_address, RequestHandlerClass):
         super().__init__(server_address, RequestHandlerClass)
-        self._pending: queue.SimpleQueue = queue.SimpleQueue()
-        self._serving: set[socket.socket] = set()  # connections workers hold
-        self._serving_lock = threading.Lock()
+        self._selector = selectors.DefaultSelector()
+        # in accept order, so in deadline order; touched by serve_forever only
+        self._arriving: dict[socket.socket, _Arrival] = {}
+        self._ready: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = False
+        self._stopped = threading.Event()
         self._workers = [
             threading.Thread(target=self._work, name=f"http-worker-{i}", daemon=True)
             for i in range(POOL_WORKERS)
@@ -269,55 +357,119 @@ class PooledHTTPServer(HTTPServer):
         for worker in self._workers:
             worker.start()
 
-    def process_request(self, request, client_address):
-        # Only the accept thread puts, so the size it reads cannot grow
-        # before the put.
-        if self._pending.qsize() >= ACCEPT_QUEUE_SLOTS:
-            self._refuse(request)
-        else:
-            self._pending.put((request, client_address))
-
-    def _refuse(self, request):
+    def serve_forever(self, poll_interval=0.5):
+        """Accept and receive requests until shutdown(), which it checks every
+        poll_interval seconds."""
+        self._stopped.clear()
+        self._selector.register(self, selectors.EVENT_READ)
         try:
-            request.setblocking(False)
-            request.send(_BUSY_RESPONSE)
+            while not self._stop:
+                for key, _ in self._selector.select(self._wait(poll_interval)):
+                    if key.data is None:
+                        self._handle_request_noblock()  # accept -> process_request
+                    elif self._receive(key.data):
+                        self._leave_intake(key.data)
+                self._expire()
+                self.service_actions()
+        finally:
+            self._selector.unregister(self)
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self):
+        """Stop serve_forever() and wait until it returns."""
+        self._stop = True
+        self._stopped.wait()
+
+    def _wait(self, poll_interval: float) -> float:
+        if not self._arriving:
+            return poll_interval
+        first = next(iter(self._arriving.values()))
+        return min(poll_interval, max(0.0, first.deadline - time.monotonic()))
+
+    def process_request(self, request, client_address):
+        if len(self._arriving) >= INTAKE_SLOTS:
+            self._refuse(request)
+            return
+        request.setblocking(False)
+        arrival = _Arrival(request, client_address,
+                           time.monotonic() + self.RequestHandlerClass.timeout)
+        # the request has often come by the time its connection is accepted
+        if not self._receive(arrival):
+            self._selector.register(request, selectors.EVENT_READ, arrival)
+            self._arriving[request] = arrival
+
+    def _receive(self, arrival: _Arrival) -> bool:
+        """Read what has come; True once the connection is handed on or closed."""
+        try:
+            data = arrival.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return False
         except OSError:
-            pass  # a full send buffer or a gone client: nothing to deliver
-        self.shutdown_request(request)
+            self.shutdown_request(arrival.sock)
+            return True
+        # at end of input the handler gets what came, as from a closed socket
+        if data and not arrival.take(data):
+            return False
+        self._hand_over(arrival)
+        return True
+
+    def _expire(self):
+        now = time.monotonic()
+        while self._arriving:
+            arrival = next(iter(self._arriving.values()))
+            if arrival.deadline > now:
+                return
+            self._leave_intake(arrival)
+            arrival.cut_off = True
+            self._hand_over(arrival)
+
+    def _leave_intake(self, arrival: _Arrival):
+        self._selector.unregister(arrival.sock)
+        del self._arriving[arrival.sock]
+
+    def _hand_over(self, arrival: _Arrival):
+        # Only this thread puts, so the size it reads cannot grow before the put.
+        if self._ready.qsize() >= QUEUE_SLOTS:
+            self._refuse(arrival.sock)
+        else:
+            self._ready.put(arrival)
+
+    def _refuse(self, sock: socket.socket):
+        """Send a 503 without blocking and close. Best effort: the answer is
+        lost to a full send buffer, and may be lost to a reset when request
+        bytes arrive after the one read that drains them."""
+        try:
+            sock.setblocking(False)
+            sock.send(_BUSY_RESPONSE)
+            sock.recv(_RECV_BYTES)
+        except OSError:
+            pass  # nothing sent or nothing to drain
+        self.shutdown_request(sock)
 
     def _work(self):
-        while True:
-            item = self._pending.get()
-            if item is None:
-                return
-            request, client_address = item
-            with self._serving_lock:
-                self._serving.add(request)
+        while (arrival := self._ready.get()) is not None:
             try:
-                self.finish_request(request, client_address)
+                self.finish_request(arrival, arrival.client_address)
             except Exception:
-                self.handle_error(request, client_address)
+                self.handle_error(arrival, arrival.client_address)
             finally:
-                with self._serving_lock:
-                    self._serving.remove(request)
-                self.shutdown_request(request)
+                self.shutdown_request(arrival)
 
     def server_close(self):
         super().server_close()
+        self._selector.close()
+        for sock in self._arriving:
+            self.shutdown_request(sock)
+        self._arriving.clear()
         while True:
             try:
-                request, _ = self._pending.get_nowait()
+                arrival = self._ready.get_nowait()
             except queue.Empty:
                 break
-            self.shutdown_request(request)
-        with self._serving_lock:
-            for request in self._serving:
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # already closed by its worker
+            self.shutdown_request(arrival)
         for _ in self._workers:
-            self._pending.put(None)
+            self._ready.put(None)
         for worker in self._workers:
             worker.join()
 

@@ -19,6 +19,7 @@ from medserve.query_pipeline import (
     classify,
     load_lexicon,
     load_templates,
+    prompt_token_count,
     tokenize,
 )
 
@@ -159,6 +160,22 @@ class TestBuildPrompt:
         q = ClassifiedQuery("q", ("q",), MedicalCategory.EMERGENCY, {c: 0 for c in CATS})
         with pytest.raises(LexiconError):
             build_prompt(q, templates)
+
+    @pytest.mark.parametrize("text", [
+        "what dose of aspirin", "Chest\npain!!", "İstanbul ΣΑΣ straße 42x", "???",
+        "a\r\nb\tc", "word" * 50,
+    ])
+    def test_prompt_token_count_packaged(self, text):
+        templates = load_templates(packaged_data("templates.json"))
+        for category in CATS:
+            q = ClassifiedQuery(text, tuple(tokenize(text)), category, {})
+            assert prompt_token_count(q, templates) == len(tokenize(build_prompt(q, templates)))
+
+    @given(st.text(min_size=1), st.text(), st.text())
+    def test_prompt_token_count_any_template(self, base, suffix, text):
+        templates = PromptTemplate(base=base, suffixes={c: suffix for c in CATS})
+        q = ClassifiedQuery(text, tuple(tokenize(text)), MedicalCategory.TREATMENT, {})
+        assert prompt_token_count(q, templates) == len(tokenize(build_prompt(q, templates)))
 
     def test_packaged_emergency_suffix_mentions_urgency(self):
         templates = load_templates(packaged_data("templates.json"))

@@ -31,7 +31,7 @@ from medserve.engines import (
     remote_engine_generate,
 )
 from medserve.quantizer import PrecisionPolicy
-from medserve.query_pipeline import ClassifiedQuery, MedicalCategory, build_prompt, tokenize
+from medserve.query_pipeline import tokenize
 from medserve.service import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -300,7 +300,7 @@ class TestServicePipeline:
             return wrapper
 
         counting_tokenize = counted("tokenize", tokenize)
-        for module in (query_pipeline, cache_module, service_module):
+        for module in (query_pipeline, cache_module):
             monkeypatch.setattr(module, "tokenize", counting_tokenize)
         monkeypatch.setattr(cache_module, "embed", counted("embed", cache_module.embed))
         try:
@@ -313,21 +313,6 @@ class TestServicePipeline:
                 calls.update(tokenize=0, embed=0)
                 assert service.handle_query(text).cache_tier == tier
                 assert calls == {"tokenize": tokenized, "embed": embedded}, text
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize("text", [
-        "what dose of aspirin", "Chest\npain!!", "İstanbul ΣΑΣ straße 42x", "???",
-        "a\r\nb\tc", "word" * 50,
-    ])
-    def test_prompt_token_count_matches_built_prompt(self, config, text):
-        service = MedService(config)
-        try:
-            for category in MedicalCategory:
-                classified = ClassifiedQuery(text, tuple(tokenize(text)), category, {})
-                prompt = build_prompt(classified, service.templates)
-                assert (service._template_tokens[category] + len(classified.tokens)
-                        == len(tokenize(prompt)))
         finally:
             service.close()
 
@@ -513,21 +498,55 @@ def _wait_until(condition, timeout=5.0):
         time.sleep(0.005)
 
 
+def _request_bytes(text: str) -> bytes:
+    body = json.dumps({"text": text}).encode()
+    return (b"POST /v1/query HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body)) + body
+
+
+def _read_reply(sock) -> tuple[int, dict]:
+    reply = b""
+    while chunk := sock.recv(4096):
+        reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestWorkerPool:
-    """The fixed pool, shrunk to 2 workers and 1 queue slot, against clients
-    that connect and send nothing."""
+    """The pool shrunk to 2 workers, a queue of 1 and an intake of 4, against
+    clients that send nothing, trickle their request or hold a worker in
+    handle_query until released."""
 
     @pytest.fixture()
     def pool(self, config, monkeypatch):
         monkeypatch.setattr(service_module, "POOL_WORKERS", 2)
-        monkeypatch.setattr(service_module, "ACCEPT_QUEUE_SLOTS", 1)
+        monkeypatch.setattr(service_module, "QUEUE_SLOTS", 1)
+        monkeypatch.setattr(service_module, "INTAKE_SLOTS", 4)
         service = MedService(config)
+        release = threading.Event()
+        held = []
+        handle_query = service.handle_query
+
+        def holding_handle_query(text):
+            if text.startswith("hold"):
+                held.append(text)
+                release.wait(timeout=10)
+            return handle_query(text)
+
+        service.handle_query = holding_handle_query
         httpd = make_server(service, "127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
-        stalled = []
-        yield httpd, stalled
-        for sock in stalled:
+        clients = []
+
+        def connect(sent=b""):
+            sock = socket.create_connection(httpd.server_address, timeout=5)
+            clients.append(sock)
+            sock.sendall(sent)
+            return sock
+
+        yield httpd, connect, held
+        release.set()
+        for sock in clients:
             sock.close()
         httpd.shutdown()
         httpd.server_close()
@@ -536,42 +555,81 @@ class TestWorkerPool:
         assert not thread.is_alive()
 
     @staticmethod
-    def _stall(httpd, stalled, condition):
-        """Open a connection that sends nothing; wait until the server holds it."""
-        stalled.append(socket.create_connection(httpd.server_address, timeout=5))
-        _wait_until(condition)
-
-    @staticmethod
-    def _serving(httpd):
-        with httpd._serving_lock:
-            return len(httpd._serving)
-
-    def test_free_worker_serves_healthz(self, pool):
-        httpd, stalled = pool
-        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
+    def _healthz_fast(httpd):
+        start = time.monotonic()
         base = f"http://127.0.0.1:{httpd.server_address[1]}"
         with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
             assert resp.status == 200
+        assert time.monotonic() - start < 1.0
+
+    def test_idle_and_trickling_clients_hold_no_worker(self, pool):
+        httpd, connect, _ = pool
+        connect()
+        connect()
+        request = _request_bytes("what is a fever")
+        trickler = connect(request[:10])
+        _wait_until(lambda: len(httpd._arriving) == 3)
+        for k in range(10, 13):
+            self._healthz_fast(httpd)
+            trickler.sendall(request[k:k + 1])
+        self._healthz_fast(httpd)
+        assert httpd._ready.qsize() == 0
+        trickler.sendall(request[13:])
+        assert _read_reply(trickler)[0] == 200
+
+    def test_free_worker_serves_healthz(self, pool):
+        httpd, connect, held = pool
+        connect(_request_bytes("hold 1"))
+        _wait_until(lambda: len(held) == 1)
+        self._healthz_fast(httpd)
 
     def test_full_queue_answers_503_fast(self, pool):
-        httpd, stalled = pool
-        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
-        self._stall(httpd, stalled, lambda: self._serving(httpd) == 2)
-        self._stall(httpd, stalled, lambda: httpd._pending.qsize() == 1)
+        httpd, connect, held = pool
+        connect(_request_bytes("hold 1"))
+        connect(_request_bytes("hold 2"))
+        _wait_until(lambda: len(held) == 2)
+        connect(_request_bytes("hold 3"))
+        _wait_until(lambda: httpd._ready.qsize() == 1)
+        start = time.monotonic()
+        # this client sends its whole request before reading the answer
+        refused = connect(_request_bytes("what is a fever"))
+        assert _read_reply(refused) == (503, {"error": "server busy"})
+        assert time.monotonic() - start < 1.0
+
+    def test_full_intake_answers_503_fast(self, pool):
+        httpd, connect, _ = pool
+        for _ in range(4):
+            connect()
+        _wait_until(lambda: len(httpd._arriving) == 4)
         start = time.monotonic()
         # read without sending, so closing with unread input cannot reset the answer away
-        with socket.create_connection(httpd.server_address, timeout=1.0) as sock:
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        elapsed = time.monotonic() - start
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.0 503 ")
-        assert json.loads(body) == {"error": "server busy"}
-        assert elapsed < 1.0
+        assert _read_reply(connect()) == (503, {"error": "server busy"})
+        assert time.monotonic() - start < 1.0
+
+    def test_trickled_body_cut_off_at_deadline(self, pool):
+        httpd, connect, _ = pool
+        httpd.RequestHandlerClass.timeout = 0.5
+        start = time.monotonic()
+        sock = connect(b"POST /v1/query HTTP/1.0\r\nContent-Length: 10\r\n\r\n")
+        # a byte every 0.1 s: no gap between bytes reaches the timeout, but
+        # the whole request does
+        for byte in b'{"te':
+            sock.sendall(bytes([byte]))
+            time.sleep(0.1)
+        assert _read_reply(sock)[0] == 408
+        assert time.monotonic() - start < 0.8
+
+    def test_huge_content_length_keeps_server_up(self, pool):
+        httpd, connect, _ = pool
+        head = b"POST /v1/query HTTP/1.0\r\nContent-Length: " + b"9" * 5000 + b"\r\n"
+        sock = connect(head)  # the head's end comes in a later read
+        _wait_until(lambda: len(httpd._arriving) == 1)
+        sock.sendall(b"\r\n")
+        _wait_until(lambda: not httpd._arriving)
+        self._healthz_fast(httpd)
 
     def test_thread_count_flat_across_connections(self, pool):
-        httpd, _ = pool
+        httpd, _, _ = pool
         base = f"http://127.0.0.1:{httpd.server_address[1]}"
         before = threading.active_count()
         for _ in range(20):
@@ -579,16 +637,17 @@ class TestWorkerPool:
                 assert resp.status == 200
             assert threading.active_count() == before
 
-    def test_server_close_returns_while_client_stalls(self, pool):
-        httpd, stalled = pool
-        self._stall(httpd, stalled, lambda: self._serving(httpd) == 1)
-        self._stall(httpd, stalled, lambda: self._serving(httpd) == 2)
-        self._stall(httpd, stalled, lambda: httpd._pending.qsize() == 1)
+    def test_server_close_returns_while_clients_stall(self, pool):
+        httpd, connect, _ = pool
+        stalled = [connect(), connect(), connect(b"GET /healthz HTTP/1.0\r\n")]
+        _wait_until(lambda: len(httpd._arriving) == 3)
         start = time.monotonic()
         httpd.shutdown()
         httpd.server_close()
         assert time.monotonic() - start < httpd.RequestHandlerClass.timeout / 2
         assert not any(worker.is_alive() for worker in httpd._workers)
+        for sock in stalled:
+            assert sock.recv(1) == b""  # closed by the server, unanswered
 
 
 class TestBench:
