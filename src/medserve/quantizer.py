@@ -11,7 +11,7 @@ its absmax; scales are stored as float32, so a tensor whose absmax exceeds
 the float32 range is rejected. An NF4 value equidistant from two levels takes
 the lower index, as a first-minimum argmin over all 16 distances would. The
 literal per-element loops in tests/oracles.py (nearest_level_codes,
-int8_codes) are the reference the array path is tested against.
+int8_codes, unpack_nf4) are the reference the array path is tested against.
 
 Threshold rule: for each pair of neighbouring levels L[i] < L[i+1], t[i] is
 the largest float64 x with |L[i] - x| <= |L[i+1] - x|. On [L[i], L[i+1]]
@@ -24,6 +24,13 @@ Tiling: quantize_tensor walks the blocks in tiles of whole block rows, about
 1 MiB of float64 each, so the tile stays in cache from the float64 cast to
 the codes. Every block is still scaled, divided and coded with the same
 float64 operations as the whole array would be, so tiling changes no byte.
+
+Kernels: a block's absmax is the largest sign-cleared bit pattern of its
+float64 values read as int64, because non-negative doubles order as their
+bit patterns do, inf above every finite value and NaN above inf. Codes are
+uint8 and each threshold's compare mask is added in as uint8. Packing reads
+each code pair as one little-endian uint16. Decoding gathers both values of
+a byte at once from a 256-entry table of level pairs viewed as complex128.
 """
 
 from __future__ import annotations
@@ -66,8 +73,10 @@ DEFAULT_BLOCK_SIZE = 64
 SCALE_BYTES = 4  # one float32 scale per block
 _F32_MAX = float(np.finfo(np.float32).max)
 # Values per tile: 128K float64 values are 1 MiB, which stays in a 4 MiB L2
-# cache together with the tile's codes and compare mask.
+# cache together with the tile's 1 MiB of sign-cleared bits, its codes and
+# its compare mask.
 _TILE_VALUES = 1 << 17
+_SIGN_CLEAR = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 def nf4_levels() -> np.ndarray:
@@ -91,6 +100,17 @@ def _nf4_thresholds(levels) -> np.ndarray:
 _NF4_THRESHOLDS = _nf4_thresholds(NF4_LEVELS)
 
 
+def _nf4_byte_table(levels) -> np.ndarray:
+    """Entry b: (level of b's low nibble, level of its high nibble) as one
+    complex128, so one gather decodes a packed byte into two float64."""
+    byte = np.arange(256)
+    pairs = np.stack([levels[byte & 0x0F], levels[byte >> 4]], axis=1)
+    return pairs.reshape(-1).view(np.complex128)
+
+
+_NF4_BYTE_LEVELS = _nf4_byte_table(nf4_levels())
+
+
 class LayerClass(Enum):
     ATTENTION = "attention"
     FEEDFORWARD = "feedforward"
@@ -106,7 +126,7 @@ class LayerSpec:
 
     @property
     def params(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,7 @@ class QuantizedTensor:
     """Packed codes plus per-block absmax scales for one tensor."""
 
     kind: str  # "nf4" | "int8"
-    data: bytes
+    data: bytes | memoryview
     scales: np.ndarray  # float32, one per block
     shape: tuple[int, ...]
     block_size: int
@@ -169,7 +189,7 @@ class QuantizedTensor:
     def __post_init__(self):
         if self.kind not in ("nf4", "int8"):
             raise ValueError(f"unknown quantization kind {self.kind!r}")
-        n = int(np.prod(self.shape))
+        n = math.prod(self.shape)
         data_len = (n + 1) // 2 if self.kind == "nf4" else n
         if len(self.data) != data_len:
             raise ValueError(f"expected {data_len} {self.kind} code bytes, got {len(self.data)}")
@@ -182,20 +202,17 @@ class QuantizedTensor:
 
 def pack_nf4(codes: np.ndarray) -> bytes:
     """Two 4-bit codes per byte, low nibble first; odd tail padded with 0."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if np.any(codes > 15):
+    codes = np.ascontiguousarray(codes, dtype=np.uint8).reshape(-1)
+    if codes.size and codes.max() > 15:
         raise ValueError("nf4 code out of range")
     if codes.size % 2:
         codes = np.append(codes, np.uint8(0))
-    return (codes[0::2] | (codes[1::2] << 4)).tobytes()
-
-
-def unpack_nf4(data: bytes, count: int) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(raw.size * 2, dtype=np.uint8)
-    out[0::2] = raw & 0x0F
-    out[1::2] = raw >> 4
-    return out[:count]
+    # pair (a, b) reads as a | b << 8; adding b << 4 puts b in the high
+    # nibble of the low byte, which is all the uint8 cast keeps
+    pairs = codes.view("<u2")
+    packed = pairs >> 4
+    packed |= pairs
+    return packed.astype(np.uint8).tobytes()
 
 
 def _as_float(values) -> np.ndarray:
@@ -224,8 +241,10 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
     nblocks = -(-n // block_size)
     rows = min(nblocks, max(1, _TILE_VALUES // block_size))
     tile = np.empty((rows, block_size))
+    magnitudes = np.empty((rows, block_size), dtype=np.int64)
     scales = np.empty(nblocks, dtype=np.float32)
-    codes = np.empty(nblocks * block_size, dtype=np.uint8 if kind == "nf4" else np.int8)
+    # one spare code, to pad an odd count to whole pairs
+    codes = np.empty(nblocks * block_size + 1, dtype=np.uint8 if kind == "nf4" else np.int8)
     above = np.empty((rows, block_size), dtype=bool) if kind == "nf4" else None
     for first in range(0, nblocks, rows):
         blocks = tile[:min(rows, nblocks - first)]
@@ -234,7 +253,8 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
         padded = blocks.reshape(-1)
         padded[:count] = flat[start:start + count]
         padded[count:] = 0.0
-        absmax = np.abs(blocks).max(axis=1)  # NaN and inf propagate
+        bits = np.bitwise_and(blocks.view(np.int64), _SIGN_CLEAR, out=magnitudes[:len(blocks)])
+        absmax = bits.max(axis=1).view(np.float64)  # NaN and inf survive
         if not np.all(np.isfinite(absmax)):
             raise ValueError("tensor contains non-finite values")
         if np.any(absmax > _F32_MAX):
@@ -245,15 +265,19 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
         out = codes[start:start + blocks.size].reshape(blocks.shape)
         if kind == "nf4":
             mask = above[:len(blocks)]
-            np.greater(blocks, _NF4_THRESHOLDS[0], out=out)
+            np.greater(blocks, _NF4_THRESHOLDS[0], out=out.view(bool))
             for t in _NF4_THRESHOLDS[1:]:
-                out += np.greater(blocks, t, out=mask)
+                out += np.greater(blocks, t, out=mask).view(np.uint8)
         else:
             # |x / absmax| <= 1 under correctly rounded division, so the
             # rounded codes already lie in [-127, 127]
             blocks *= 127.0
             out[...] = np.rint(blocks, out=blocks)
-    data = pack_nf4(codes[:n]) if kind == "nf4" else codes[:n].tobytes()
+    if kind == "nf4":
+        codes[n] = 0
+        data = pack_nf4(codes[:n + n % 2])
+    else:
+        data = codes[:n].tobytes()
     return QuantizedTensor(
         kind=kind, data=data, scales=scales, shape=arr.shape, block_size=block_size,
     )
@@ -261,14 +285,21 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Inverse of quantize_tensor; restores the original shape."""
-    n = int(np.prod(qt.shape))
-    out = np.zeros(qt.scales.size * qt.block_size)
+    n = math.prod(qt.shape)
+    size = qt.scales.size * qt.block_size
     if qt.kind == "nf4":
-        # nibbles are 0..15, so "clip" never clips; it just lets take() skip a buffer
-        np.take(nf4_levels(), unpack_nf4(qt.data, n), out=out[:n], mode="clip")
+        raw = np.frombuffer(qt.data, dtype=np.uint8)
+        # a byte decodes to two values, so an odd n gets one past its end,
+        # which lies beyond size when the block size divides n
+        out = np.empty(max(size, 2 * raw.size))
+        # bytes index all 256 entries, so "clip" never clips; it just lets
+        # take() skip a buffer
+        np.take(_NF4_BYTE_LEVELS, raw, out=out[:2 * raw.size].view(np.complex128), mode="clip")
     else:
+        out = np.empty(size)
         out[:n] = np.frombuffer(qt.data, dtype=np.int8)
-    blocks = out.reshape(qt.scales.size, qt.block_size)
+    out[n:size] = 0.0
+    blocks = out[:size].reshape(qt.scales.size, qt.block_size)
     blocks *= qt.scales.astype(np.float64)[:, None]
     if qt.kind == "int8":
         blocks /= 127.0
@@ -505,6 +536,7 @@ def _layer_table(path, header) -> list[dict]:
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header dict, dequantized weights per layer)."""
     blob = Path(path).read_bytes()
+    view = memoryview(blob)  # segments are sliced without a copy
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a quantized checkpoint")
     if len(blob) < 12:
@@ -522,9 +554,9 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         )
     weights = {}
     for entry in table:
-        codes = blob[offset:offset + entry["codes_len"]]
+        codes = view[offset:offset + entry["codes_len"]]
         offset += entry["codes_len"]
-        scales = blob[offset:offset + entry["scales_len"]]
+        scales = view[offset:offset + entry["scales_len"]]
         offset += entry["scales_len"]
         shape = tuple(entry["shape"])
         if entry["bits"] == 16:

@@ -41,9 +41,24 @@ from .runtime import PlanCache, decide_mode, select_engine, shape_bucket
 log = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024
+_MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 POOL_WORKERS = 16  # request threads; also the most engine calls in flight
 INTAKE_SLOTS = 128  # connections whose request is still arriving
 QUEUE_SLOTS = 64  # received requests waiting for a worker
+
+
+def _content_length(value: str) -> int | None:
+    """A Content-Length header value as a byte count, or None unless it is
+    ASCII digits once stripped. int() refuses strings of over 4,300 digits,
+    so a count with more digits than MAX_BODY_BYTES reads as
+    MAX_BODY_BYTES + 1 without being converted."""
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0") or "0"
+    if len(digits) > _MAX_BODY_DIGITS:
+        return MAX_BODY_BYTES + 1
+    return int(digits)
 
 
 class BadRequest(ValueError):
@@ -205,15 +220,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/v1/query":
             self._send(404, {"error": "not found"})
             return
-        length = self.headers.get("Content-Length", "0").strip()
-        if not (length.isascii() and length.isdigit()):
+        length = _content_length(self.headers.get("Content-Length", "0"))
+        if length is None:
             self._send(400, {"error": "Content-Length must be a non-negative integer"})
             return
-        if int(length) > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             self._send(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
             return
         try:
-            body = self.rfile.read(int(length))
+            body = self.rfile.read(length)
         except TimeoutError:
             self._send(408, {"error": "request body not received in time"})
             return
@@ -283,15 +298,9 @@ class _Arrival:
             self.received, self.received.index(b"\n") + 1, head_end)
         if match is None:
             return 0
-        # http.client decodes header lines as latin-1; the handler strips
-        length = match.group(1).decode("latin-1").strip()
-        if not (length.isascii() and length.isdigit()):
-            return 0
-        # int() refuses strings of over 4,300 digits; this one has at most 6
-        digits = length.lstrip("0") or "0"
-        if len(digits) <= len(str(MAX_BODY_BYTES)) and int(digits) <= MAX_BODY_BYTES:
-            return int(digits)
-        return 0
+        # http.client decodes header lines as latin-1
+        length = _content_length(match.group(1).decode("latin-1"))
+        return length if length is not None and length <= MAX_BODY_BYTES else 0
 
     def makefile(self, mode="rb", buffering=None):
         return _Replay(self.received, self.cut_off)
@@ -334,7 +343,8 @@ class PooledHTTPServer(HTTPServer):
     one selector; at most INTAKE_SLOTS connections may be arriving, each
     for at most the handler's timeout from its accept, and a connection cut
     off by that deadline is handed on to get its 408. A received request
-    waits for a worker in a queue of at most QUEUE_SLOTS. No worker ever
+    waits for a worker in a queue; at most POOL_WORKERS + QUEUE_SLOTS are
+    queued or in a worker's hands at once. No worker ever
     waits on a client's input, so idle or trickling clients cannot hold the
     pool. A connection that finds the intake or the queue full is answered
     503 and closed without blocking. server_close() closes the connections
@@ -348,6 +358,9 @@ class PooledHTTPServer(HTTPServer):
         # in accept order, so in deadline order; touched by serve_forever only
         self._arriving: dict[socket.socket, _Arrival] = {}
         self._ready: queue.SimpleQueue = queue.SimpleQueue()
+        # one per request queued or in a worker's hands: the queue length
+        # alone would count requests that idle workers have yet to take
+        self._slots = threading.BoundedSemaphore(POOL_WORKERS + QUEUE_SLOTS)
         self._stop = False
         self._stopped = threading.Event()
         self._workers = [
@@ -429,11 +442,10 @@ class PooledHTTPServer(HTTPServer):
         del self._arriving[arrival.sock]
 
     def _hand_over(self, arrival: _Arrival):
-        # Only this thread puts, so the size it reads cannot grow before the put.
-        if self._ready.qsize() >= QUEUE_SLOTS:
-            self._refuse(arrival.sock)
-        else:
+        if self._slots.acquire(blocking=False):
             self._ready.put(arrival)
+        else:
+            self._refuse(arrival.sock)
 
     def _refuse(self, sock: socket.socket):
         """Send a 503 without blocking and close. Best effort: the answer is
@@ -455,6 +467,7 @@ class PooledHTTPServer(HTTPServer):
                 self.handle_error(arrival, arrival.client_address)
             finally:
                 self.shutdown_request(arrival)
+                self._slots.release()
 
     def server_close(self):
         super().server_close()

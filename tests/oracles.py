@@ -3,11 +3,11 @@
 These deliberately avoid the library code paths (and numpy.linalg.svd,
 which backs the production SVD): singular values come from a hand-rolled
 one-sided Jacobi sweep, quantization codes from literal nearest-neighbor
-loops, and attention from the direct definition. The cache oracle keeps the
-earlier two-dict cache logic over the library's similarity math and log, the
-classifier oracle counts keyword matches one category at a time, and the
-placement oracles are exhaustive enumeration and the earlier branch-and-bound
-solver.
+loops, packed NF4 bytes split nibble by nibble, and attention from the
+direct definition. The cache oracle keeps the earlier two-dict cache logic
+over the library's similarity math and log, the classifier oracle counts
+keyword matches one category at a time, and the placement oracles are
+exhaustive enumeration and the earlier branch-and-bound solver.
 """
 
 import math
@@ -115,6 +115,15 @@ def int8_codes(block, scale):
                 best_code, best_err = code, err
         codes.append(best_code)
     return codes
+
+
+def unpack_nf4(data, count: int) -> np.ndarray:
+    """The first count 4-bit codes of packed bytes, low nibble first."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(raw.size * 2, dtype=np.uint8)
+    out[0::2] = raw & 0x0F
+    out[1::2] = raw >> 4
+    return out[:count]
 
 
 def reference_attention(q, k, v):

@@ -29,10 +29,9 @@ from medserve.quantizer import (
     quantize_tensor,
     read_checkpoint,
     synthetic_7b_manifest,
-    unpack_nf4,
     write_checkpoint,
 )
-from oracles import int8_codes, nearest_level_codes
+from oracles import int8_codes, nearest_level_codes, unpack_nf4
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -368,6 +367,85 @@ class TestPacking:
                 assert list(unpack_nf4(pack_nf4(codes), 2)) == [a, b]
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _assert_blocks_match_oracles(x, block_size):
+    """NF4 and INT8 codes, scales and dequantized bytes of x against the
+    per-element oracles, block by block."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
+    levels = nf4_levels()
+    nf4 = quantize_tensor(x, "nf4", block_size)
+    int8 = quantize_tensor(x, "int8", block_size)
+    nf4_codes = unpack_nf4(nf4.data, flat.size)
+    int8_codes_ = np.frombuffer(int8.data, dtype=np.int8).astype(np.int64)
+    nf4_out, int8_out = dequantize(nf4), dequantize(int8)
+    assert nf4_out.shape == int8_out.shape == np.shape(x)
+    nf4_out, int8_out = nf4_out.ravel(), int8_out.ravel()
+    for b, start in enumerate(range(0, flat.size, block_size)):
+        block = flat[start:start + block_size]
+        part = slice(start, start + block.size)
+        scale = np.abs(block).max()
+        # bytes, so that a -0.0 scale does not pass for +0.0
+        assert nf4.scales[b].tobytes() == int8.scales[b].tobytes() == np.float32(scale).tobytes()
+        scaled = list(block / (scale or 1.0))
+        expected = nearest_level_codes(scaled, list(levels))
+        assert list(nf4_codes[part]) == expected
+        want = levels[expected] * np.float64(nf4.scales[b])
+        assert nf4_out[part].tobytes() == want.tobytes()
+        # the INT8 oracle runs on the scaled block, where subnormal inputs
+        # are normal numbers; a code midpoint can round either way
+        ours = int8_codes_[part]
+        oracle = np.array(int8_codes(scaled, 1.0))
+        assert np.all(np.abs(ours - oracle) <= 1)
+        assert np.all(np.abs(ours / 127.0 - scaled) <= np.abs(oracle / 127.0 - scaled) + 1e-12)
+        want = ours.astype(np.float64) * np.float64(int8.scales[b]) / 127.0
+        assert int8_out[part].tobytes() == want.tobytes()
+
+
+class TestKernelEdgeCases:
+    """Inputs the hypothesis strategies never draw: subnormals, -0.0, the
+    float32 scale limit, and odd sizes that fill their last block."""
+
+    @pytest.mark.parametrize("x,block_size", [
+        (np.array([5e-324, -2.5e-320, 1e-310, -0.0, 3e-315, -5e-324]), 3),
+        (np.array([1e-40, -3e-41, 7e-45, 0.0, -1.4e-45, 2e-39, 1e-44]), 4),
+        (np.array([0.5, -1.0, 1e-320, -3e-321]), 2),
+        (np.array([-0.0, -0.0, 0.0, -0.0, 1.5, -0.0]), 2),
+        (np.full(5, -0.0), 5),
+        (np.array([F32_MAX, -F32_MAX / 3, 1.0, -F32_MAX]), 2),
+        (np.array([0.3, -1.2, 0.7]), 1),
+        (np.linspace(-2.0, 1.0, 9).reshape(3, 3), 3),
+    ])
+    def test_blocks_match_oracles(self, x, block_size):
+        _assert_blocks_match_oracles(x, block_size)
+
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_absmax_one_ulp_beyond_float32_rejected(self, kind, sign):
+        x = np.ones(2 * _TILE_VALUES)
+        x[-1] = sign * math.nextafter(F32_MAX, math.inf)
+        with pytest.raises(ValueError, match="float32"):
+            quantize_tensor(x, kind)
+
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -math.nan])
+    def test_non_finite_in_a_later_tile_rejected(self, kind, value):
+        x = np.full(2 * _TILE_VALUES + 5, -2.0)
+        x[_TILE_VALUES + 7] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_tensor(x, kind)
+
+    @pytest.mark.parametrize("count", [512, 511])
+    def test_every_byte_decodes_as_its_nibbles(self, count):
+        scales = np.random.default_rng(18).random(8).astype(np.float32)
+        qt = QuantizedTensor(kind="nf4", data=bytes(range(256)), scales=scales,
+                             shape=(count,), block_size=64)
+        levels = nf4_levels()[unpack_nf4(qt.data, count)]
+        want = levels * np.repeat(scales.astype(np.float64), 64)[:count]
+        assert dequantize(qt).tobytes() == want.tobytes()
+
+
 class TestTensorRoundTrip:
     @pytest.mark.parametrize("kind", ["nf4", "int8"])
     def test_idempotent(self, kind):
@@ -461,6 +539,12 @@ class TestPolicyPlanning:
         assert layer.params == 16_777_216
         assert layer.code_bytes == 8_388_608
         assert layer.scale_bytes == 1_048_576
+
+    def test_params_beyond_int64(self):
+        layer = LayerSpec("wide", LayerClass.FEEDFORWARD, (2**32, 2**32))
+        assert layer.params == 2**64
+        plan = apply_policy(ModelManifest((layer,)), PrecisionPolicy())
+        assert plan.layers[0].code_bytes == 2**63
 
     def test_all_fp16_equals_baseline(self):
         manifest = synthetic_7b_manifest(blocks=2)

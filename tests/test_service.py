@@ -473,6 +473,17 @@ class TestHTTPAPI:
         headers = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
         assert self._raw_post(base, headers) == 413
 
+    def test_5000_digit_content_length_is_413(self, server):
+        # int() refuses strings of over 4,300 digits
+        base, _ = server
+        assert self._raw_post(base, f"Content-Length: {'9' * 5000}\r\n") == 413
+
+    def test_zero_padded_content_length_is_served(self, server):
+        base, _ = server
+        body = b'{"text": "fever"}'
+        headers = f"Content-Length: {'0' * 5000}{len(body)}\r\n"
+        assert self._raw_post(base, headers, body) == 200
+
     def test_body_at_cap_is_served(self, server):
         base, _ = server
         body = b'{"text": "fever"}'.ljust(MAX_BODY_BYTES)
