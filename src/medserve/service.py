@@ -5,24 +5,28 @@ HTTP layer is a thin stdlib server exposing POST /v1/query, GET /v1/metrics,
 and GET /healthz. Engine choice and deployment mode are decided once at
 startup (and again on explicit reload), not per request.
 
-The server accepts connections and receives their requests on one thread,
-then hands each received request to a fixed pool of POOL_WORKERS threads;
-see PooledHTTPServer for the bounds and the 503.
+The server speaks HTTP/1.0, one request per connection. It accepts
+connections and receives their requests on one thread, which parses each
+request head once, as it comes in, and frames the body from that parse;
+each received request then goes to a fixed pool of POOL_WORKERS threads,
+which answer from the same parse in one write. See PooledHTTPServer for the
+bounds and the 503, and _parse_head for the answers to malformed heads.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import json
 import logging
 import queue
 import re
 import selectors
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import asdict, dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 
 from .cache import QueryFeatures, TwoLevelCache
 from .config import ServiceConfig
@@ -192,152 +196,221 @@ class MedService:
         self.cache.close()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    service: MedService = None  # set by make_server
-    timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
-
-    def _send(self, status: int, payload: dict):
-        body = json.dumps(payload).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # client went away; nothing to deliver
-            pass
-
-    def do_GET(self):
-        if self.path == "/healthz":
-            self._send(200, {"status": "ok"})
-        elif self.path == "/v1/metrics":
-            self._send(200, self.service.metrics())
-        else:
-            self._send(404, {"error": "not found"})
-
-    def do_POST(self):
-        if self.path != "/v1/query":
-            self._send(404, {"error": "not found"})
-            return
-        length = _content_length(self.headers.get("Content-Length", "0"))
-        if length is None:
-            self._send(400, {"error": "Content-Length must be a non-negative integer"})
-            return
-        if length > MAX_BODY_BYTES:
-            self._send(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
-            return
-        try:
-            body = self.rfile.read(length)
-        except TimeoutError:
-            self._send(408, {"error": "request body not received in time"})
-            return
-        try:
-            doc = json.loads(body.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise BadRequest("request body must be a JSON object")
-            response = self.service.handle_query(doc.get("text", ""))
-        except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
-            self._send(400, {"error": str(exc)})
-        except EngineFailure as exc:
-            self._send(502, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("unhandled error")
-            self._send(500, {"error": str(exc)})
-        else:
-            self._send(200, response.as_dict())
-
-    def log_message(self, fmt, *args):
-        log.debug("http: " + fmt, *args)
-
-
-_BUSY_BODY = json.dumps({"error": "server busy"}).encode("utf-8")
-_BUSY_RESPONSE = (
-    "HTTP/1.0 503 Service Unavailable\r\n"
-    "Content-Type: application/json\r\n"
-    f"Content-Length: {len(_BUSY_BODY)}\r\n"
-    "Connection: close\r\n\r\n"
-).encode("ascii") + _BUSY_BODY
-
 _RECV_BYTES = 64 * 1024
-_MAX_HEAD_BYTES = 64 * 1024  # request line and headers the intake waits for
+_MAX_LINE_BYTES = 64 * 1024  # the request line with its line end; 414 past it
+_MAX_HEAD_BYTES = 64 * 1024  # request line and headers the intake waits for; 431 past it
+_MAX_FIELDS = 100  # header field lines; 431 past it
 _HEAD_END = re.compile(rb"\n\r?\n")
-_CONTENT_LENGTH = re.compile(rb"^content-length:([^\r\n]*)", re.IGNORECASE | re.MULTILINE)
+_VERSION = re.compile(rb"HTTP/([0-9])\.[0-9]")
+# field-name ":" OWS field-value OWS (RFC 9112 §5.1): the name a token, the
+# value free of control characters other than HTAB
+_FIELD = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):([^\x00-\x08\x0a-\x1f\x7f]*)")
+
+
+class _Refused(Exception):
+    """A request head answered with an error status (str() is the error)."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+@dataclass(frozen=True)
+class _Head:
+    method: str  # "GET" or "POST"
+    target: str
+    version: str  # HTTP/1.x
+    fields: dict[str, str]  # lower-cased name -> value, repeats joined with ", "
+    length: int  # Content-Length, 0 when absent
+
+
+def _parse_head(received: bytearray, end: int) -> _Head:
+    """Parse the request head received[:end] (RFC 9112 §2-§6). end is just
+    past the head's blank line or, for a head cut off at _MAX_HEAD_BYTES,
+    len(received), which always raises 414 or 431.
+
+    Raises _Refused with 414 for a request line over _MAX_LINE_BYTES; 431
+    for a head over _MAX_HEAD_BYTES or over _MAX_FIELDS field lines; 400
+    unless the request line is three words ending in HTTP/1.x; 505 for
+    HTTP/2 and above; 501 for a method other than GET and POST; 400 for an
+    obs-folded, colonless or otherwise malformed field line or for differing
+    Content-Length fields; 400 or 413 for a bad or too large Content-Length.
+    """
+    if received.find(b"\n", 0, _MAX_LINE_BYTES) < 0:
+        raise _Refused(414, f"request line exceeds {_MAX_LINE_BYTES} bytes")
+    if end > _MAX_HEAD_BYTES:
+        raise _Refused(431, f"request head exceeds {_MAX_HEAD_BYTES} bytes")
+    # a CR belongs to a line end only before LF; the blank line leaves two
+    # empty strings at the end
+    line, *lines = received[:end].replace(b"\r\n", b"\n").split(b"\n")[:-2]
+
+    words = line.split()
+    version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+    if version is None or version[1] == b"0":
+        raise _Refused(400, "request line must be 'method target HTTP/1.x'")
+    if version[1] != b"1":
+        raise _Refused(505, "HTTP version not supported; send HTTP/1.0 or HTTP/1.1")
+    # http.client reads heads as latin-1 too
+    method, target = words[0].decode("latin-1"), words[1].decode("latin-1")
+    if method not in ("GET", "POST"):
+        raise _Refused(501, f"method {method!r} not implemented")
+
+    if len(lines) > _MAX_FIELDS:
+        raise _Refused(431, f"more than {_MAX_FIELDS} header fields")
+    fields: dict[str, str] = {}
+    for line in lines:
+        field = _FIELD.fullmatch(line)
+        if field is None:
+            raise _Refused(400, "obsolete line folding in the request head"
+                           if line[:1] in (b" ", b"\t") else "malformed header field line")
+        name = field[1].decode("ascii").lower()
+        value = field[2].strip(b" \t").decode("latin-1")
+        if name in fields:
+            if name == "content-length":
+                if _content_length(value) != _content_length(fields[name]):
+                    raise _Refused(400, "conflicting Content-Length fields")
+                continue
+            value = f"{fields[name]}, {value}"
+        fields[name] = value
+
+    length = _content_length(fields.get("content-length", "0"))
+    if length is None:
+        raise _Refused(400, "Content-Length must be a non-negative integer")
+    if length > MAX_BODY_BYTES:
+        raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return _Head(method, target, words[2].decode("ascii"), fields, length)
+
+
+_STATUS_LINES = {status.value: f"HTTP/1.0 {status.value} {status.phrase}\r\n"
+                 for status in HTTPStatus}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """A Unix time in whole seconds as an IMF-fixdate (RFC 9110 §5.6.7),
+    with English names whatever the locale."""
+    t = time.gmtime(second)
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+def _reply(status: int, payload: dict, fields: str = "") -> bytes:
+    """A whole HTTP/1.0 response with payload as its JSON body; fields are
+    more header lines, each ending in CRLF."""
+    body = json.dumps(payload).encode("utf-8")
+    return (
+        f"{_STATUS_LINES[status]}Server: medserve\r\n"
+        f"Date: {_http_date(int(time.time()))}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{fields}\r\n"
+    ).encode("ascii") + body
 
 
 class _Arrival:
-    """An accepted connection and the bytes of its request received so far.
-
-    The request handler takes it for the socket: reads replay the received
-    bytes (see _Replay), everything else goes to the socket.
-    """
+    """An accepted connection and the bytes of its request received so far,
+    with its head parsed once the head is in."""
 
     def __init__(self, sock: socket.socket, client_address, deadline: float):
         self.sock = sock
         self.client_address = client_address
         self.deadline = deadline
         self.received = bytearray()
+        self.head: _Head | None = None
+        self.refused: _Refused | None = None  # the head's error answer, if it gets one
         self.size: int | None = None  # bytes the request spans, once its head is in
-        self.cut_off = False  # the deadline or the head cap ended the intake
+        self.cut_off = False  # the deadline ended the intake
 
     def take(self, data: bytes) -> bool:
-        """Add received bytes; True once the request is in or is cut off."""
+        """Add received bytes; True once the request is in or its head is
+        refused. A refused head's body, if any, is not waited for."""
+        start = len(self.received)
         self.received += data
         if self.size is None:
-            end = _HEAD_END.search(self.received)
-            if end is None:
-                self.cut_off = len(self.received) > _MAX_HEAD_BYTES
-                return self.cut_off
-            self.size = end.end() + self._body_length(end.end())
+            # only the new bytes, and the two before them, can complete the
+            # head's end, so a head trickled a byte at a time costs linear time
+            end = _HEAD_END.search(self.received, max(0, start - 2))
+            if end is not None:
+                self.size = end.end()
+            elif len(self.received) > _MAX_HEAD_BYTES:
+                self.size = len(self.received)  # the parse refuses it, 414 or 431
+            else:
+                return False
+            try:
+                self.head = _parse_head(self.received, self.size)
+            except _Refused as refused:
+                self.refused = refused
+            else:
+                self.size += self.head.length
         return len(self.received) >= self.size
 
-    def _body_length(self, head_end: int) -> int:
-        """The body _Handler.do_POST reads: a Content-Length of digits up to
-        MAX_BODY_BYTES, else none (it answers 400 or 413 from the head)."""
-        match = _CONTENT_LENGTH.search(
-            self.received, self.received.index(b"\n") + 1, head_end)
-        if match is None:
-            return 0
-        # http.client decodes header lines as latin-1
-        length = _content_length(match.group(1).decode("latin-1"))
-        return length if length is not None and length <= MAX_BODY_BYTES else 0
 
-    def makefile(self, mode="rb", buffering=None):
-        return _Replay(self.received, self.cut_off)
+class _Handler:
+    """Answers the requests PooledHTTPServer has received, from their parsed
+    heads; make_server binds the service."""
 
-    def __getattr__(self, name):
-        return getattr(self.sock, name)
+    service: MedService = None  # set by make_server
+    timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
+
+    @classmethod
+    def handle(cls, arrival: _Arrival):
+        """Answer on the arrival's socket in one write, or not at all when
+        nothing came or the head was still arriving at the deadline (as on a
+        socket timeout)."""
+        answer = cls._answer(arrival)
+        if answer is None:
+            return
+        status, payload = answer
+        if arrival.head is not None:
+            log.debug("http: %s %s %d", arrival.head.method, arrival.head.target, status)
+        try:
+            arrival.sock.settimeout(cls.timeout)
+            arrival.sock.sendall(_reply(status, payload))
+        except OSError:
+            pass  # the client went away or stopped reading; nothing to deliver
+
+    @classmethod
+    def _answer(cls, arrival: _Arrival) -> tuple[int, dict] | None:
+        if arrival.refused is not None:
+            return arrival.refused.status, {"error": str(arrival.refused)}
+        head = arrival.head
+        if head is None:
+            if arrival.cut_off or not arrival.received:
+                return None
+            return 400, {"error": "request head incomplete"}  # input ended inside it
+        if len(arrival.received) < arrival.size:
+            if arrival.cut_off:
+                return 408, {"error": "request body not received in time"}
+            return 400, {"error": "request body incomplete"}
+
+        if head.method == "GET":
+            if head.target == "/healthz":
+                return 200, {"status": "ok"}
+            if head.target == "/v1/metrics":
+                return 200, cls.service.metrics()
+            return 404, {"error": "not found"}
+        if head.target != "/v1/query":
+            return 404, {"error": "not found"}
+        body = arrival.received[arrival.size - head.length:arrival.size]
+        try:
+            doc = json.loads(body.decode("utf-8"))
+            if not isinstance(doc, dict):
+                raise BadRequest("request body must be a JSON object")
+            response = cls.service.handle_query(doc.get("text", ""))
+        except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
+            return 400, {"error": str(exc)}
+        except EngineFailure as exc:
+            return 502, {"error": str(exc)}
+        except Exception as exc:  # pragma: no cover - defensive
+            log.exception("unhandled error")
+            return 500, {"error": str(exc)}
+        return 200, response.as_dict()
 
 
-class _Replay(io.BytesIO):
-    """A request's received bytes, read the way the handler reads a socket.
-
-    Reading past them ends the stream, or raises TimeoutError when the intake
-    was cut off, as a stalled socket would: the handler then answers 408 or
-    closes, exactly as for a socket timeout.
-    """
-
-    def __init__(self, data: bytes, cut_off: bool):
-        super().__init__(data)
-        self._cut_off = cut_off
-
-    def read(self, size=-1):
-        data = super().read(size)
-        if self._cut_off and (size is None or size < 0 or len(data) < size):
-            raise TimeoutError("request not received in time")
-        return data
-
-    def readline(self, size=-1):
-        line = super().readline(size)
-        if (self._cut_off and not line.endswith(b"\n")
-                and (size is None or size < 0 or len(line) < size)):
-            raise TimeoutError("request not received in time")
-        return line
-
-
-class PooledHTTPServer(HTTPServer):
-    """An HTTPServer that reads each request in full on the accept thread,
-    then runs it on one of POOL_WORKERS threads started with the server.
+class PooledHTTPServer(socketserver.TCPServer):
+    """A TCP server that reads each request in full on the accept thread,
+    then answers it on one of POOL_WORKERS threads started with the server.
 
     serve_forever() accepts connections and receives their requests through
     one selector; at most INTAKE_SLOTS connections may be arriving, each
@@ -351,6 +424,8 @@ class PooledHTTPServer(HTTPServer):
     still arriving or queued and stops the workers once they finish the
     requests in hand.
     """
+
+    allow_reuse_address = True
 
     def __init__(self, server_address, RequestHandlerClass):
         super().__init__(server_address, RequestHandlerClass)
@@ -421,7 +496,7 @@ class PooledHTTPServer(HTTPServer):
         except OSError:
             self.shutdown_request(arrival.sock)
             return True
-        # at end of input the handler gets what came, as from a closed socket
+        # at end of input the handler gets what came
         if data and not arrival.take(data):
             return False
         self._hand_over(arrival)
@@ -453,7 +528,7 @@ class PooledHTTPServer(HTTPServer):
         bytes arrive after the one read that drains them."""
         try:
             sock.setblocking(False)
-            sock.send(_BUSY_RESPONSE)
+            sock.send(_reply(503, {"error": "server busy"}, "Connection: close\r\n"))
             sock.recv(_RECV_BYTES)
         except OSError:
             pass  # nothing sent or nothing to drain
@@ -462,11 +537,11 @@ class PooledHTTPServer(HTTPServer):
     def _work(self):
         while (arrival := self._ready.get()) is not None:
             try:
-                self.finish_request(arrival, arrival.client_address)
+                self.RequestHandlerClass.handle(arrival)
             except Exception:
-                self.handle_error(arrival, arrival.client_address)
+                self.handle_error(arrival.sock, arrival.client_address)
             finally:
-                self.shutdown_request(arrival)
+                self.shutdown_request(arrival.sock)
                 self._slots.release()
 
     def server_close(self):
@@ -480,7 +555,7 @@ class PooledHTTPServer(HTTPServer):
                 arrival = self._ready.get_nowait()
             except queue.Empty:
                 break
-            self.shutdown_request(arrival)
+            self.shutdown_request(arrival.sock)
         for _ in self._workers:
             self._ready.put(None)
         for worker in self._workers:

@@ -1,6 +1,7 @@
 """Tests for config loading, engines, the service pipeline, HTTP API, and CLI."""
 
 import dataclasses
+import email.utils
 import json
 import socket
 import threading
@@ -659,6 +660,185 @@ class TestWorkerPool:
         assert not any(worker.is_alive() for worker in httpd._workers)
         for sock in stalled:
             assert sock.recv(1) == b""  # closed by the server, unanswered
+
+
+_QUERY = b'{"text": "what is a fever"}'
+
+
+def _post_head(*fields: bytes, body: bytes = _QUERY, end: bytes = b"\r\n") -> bytes:
+    return b"POST /v1/query HTTP/1.0" + end + b"".join(f + end for f in fields) + end + body
+
+
+_CL = b"Content-Length: %d" % len(_QUERY)
+
+# (raw request, status, a fragment of the JSON error; status None: closed
+# unanswered). "was:" gives the answer of the BaseHTTPRequestHandler server
+# this parser replaced, on the rows it answered otherwise.
+RAW_HEADS = [
+    # request line
+    pytest.param(b"GET /healthz HTTP/x\r\n\r\n", 400, "request line",
+                 id="version-not-http"),  # was: HTML page, no status line
+    pytest.param(b"GET /healthz HTTP/2.0\r\n\r\n", 505, "version",
+                 id="http-2"),  # was: HTML page, no status line
+    pytest.param(b"GET /healthz HTTP/1.0 x\r\n\r\n", 400, "request line",
+                 id="four-words"),  # was: HTML page, no status line
+    pytest.param(b"GET /healthz\r\n\r\n", 400, "request line",
+                 id="http-0.9"),  # was: a bare {"status": "ok"}
+    pytest.param(b"GET /healthz HTTP/0.9\r\n\r\n", 400, "request line",
+                 id="version-0.9"),  # was: HTML page, no status line
+    pytest.param(b"PUT /v1/query HTTP/1.0\r\n" + _CL + b"\r\n\r\n" + _QUERY, 501, "PUT",
+                 id="put"),  # was: 501 with an HTML page
+    pytest.param(b"GET /" + b"a" * (64 * 1024 + 1), 414, "request line",
+                 id="request-line-over-64k"),  # was: 414 with an HTML page
+    # header fields
+    pytest.param(b"GET /healthz HTTP/1.0\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431, "header",
+                 id="101-fields"),  # was: 431 with an HTML page
+    pytest.param(b"GET /healthz HTTP/1.0\r\nX: " + b"a" * (64 * 1024), 431, "head",
+                 id="head-cut-off-at-64k"),  # was: 431 with an HTML page
+    pytest.param(_post_head(b"Content-Length : %d" % len(_QUERY)), 400, "header",
+                 id="space-before-colon"),  # was: 400 "Expecting value", body unread
+    pytest.param(_post_head(b"Host: x", b" " + _CL), 400, "folding",
+                 id="obs-fold"),  # was: 400 "Expecting value", body unread
+    pytest.param(_post_head(b"bogus line", _CL), 400, "header",
+                 id="no-colon"),  # was: 400 "Expecting value", body unread
+    pytest.param(_post_head(_CL, b"Content-Length: 3"), 400, "Content-Length",
+                 id="differing-content-lengths"),  # was: 200 from the first
+    pytest.param(_post_head(b"X: a\x01b", _CL), 400, "header",
+                 id="control-character-in-value"),  # was: 200
+    pytest.param(_post_head(_CL, _CL), 200, None, id="identical-content-lengths"),
+    pytest.param(_post_head(_CL, end=b"\n"), 200, None, id="lf-line-ends"),
+    # body framing and the existing cases
+    *(pytest.param(_post_head(b"Content-Length: " + value.encode(), body=b""), 400,
+                   "Content-Length", id=f"content-length-{value or 'empty'}")
+      for value in ["-1", "abc", "1.5", "", "0x10"]),
+    pytest.param(_post_head(b"Content-Length: 65537", body=b""), 413, "exceeds",
+                 id="body-over-cap"),
+    pytest.param(_post_head(b"Content-Length: " + b"9" * 5000, body=b""), 413, "exceeds",
+                 id="5000-digit-content-length"),
+    pytest.param(_post_head(b"Content-Length: " + b"0" * 5000 + b"%d" % len(_QUERY)), 200,
+                 None, id="zero-padded-content-length"),
+    pytest.param(_post_head(b"Content-Length: 6", body=b"{nope}"), 400, "Expecting",
+                 id="malformed-json"),
+    pytest.param(_post_head(b"Content-Length: 12", body=b'{"text": ""}'), 400, "text",
+                 id="empty-text"),
+    pytest.param(b"GET /nope HTTP/1.0\r\n\r\n", 404, "not found", id="unknown-path"),
+    pytest.param(_post_head(b"Content-Length: 10", body=b'{"te'), 408, "in time",
+                 id="stalled-body"),
+    pytest.param(b"GET /healthz HTTP/1.0\r\n", None, None, id="stalled-head"),
+]
+
+
+class _WriteCounter:
+    """A socket that records each sendall and refuses every other write."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        assert not name.startswith("send") and name != "makefile", name
+        return getattr(self.sock, name)
+
+
+class TestRawHeads:
+    """Hand-built request heads, answered by a server whose requests must
+    arrive within 0.3 s."""
+
+    @pytest.fixture()
+    def port(self, config):
+        service = MedService(config)
+        httpd = make_server(service, "127.0.0.1", 0)
+        httpd.RequestHandlerClass.timeout = 0.3
+        # a short poll interval, so that shutdown() returns at once
+        thread = threading.Thread(target=httpd.serve_forever, args=(0.02,), daemon=True)
+        thread.start()
+        yield httpd.server_address[1]
+        httpd.shutdown()
+        httpd.server_close()
+        service.close()
+
+    @pytest.mark.parametrize("raw, status, error", RAW_HEADS)
+    def test_answer(self, port, raw, status, error):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        if status is None:
+            assert reply == b""
+            return
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *fields = head.decode("ascii").split("\r\n")
+        assert status_line.startswith(f"HTTP/1.0 {status} ")
+        assert "Content-Type: application/json" in fields
+        assert f"Content-Length: {len(body)}" in fields
+        doc = json.loads(body)
+        if error is None:
+            assert "answer" in doc
+        else:
+            assert error in doc["error"]
+
+    @pytest.mark.parametrize("raw, error", [
+        (b"GET /healthz HTTP/1.0\r\n", "head incomplete"),
+        (_post_head(b"Content-Length: 40"), "body incomplete"),
+    ])
+    def test_input_ending_early_is_400(self, port, raw, error):
+        # was: 200 for both, the short body parsed as if whole
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            status, doc = _read_reply(sock)
+        assert status == 400
+        assert error in doc["error"]
+
+    @pytest.mark.parametrize("raw, cut_off, status", [
+        (_post_head(_CL), False, 200),
+        (b"GET /healthz HTTP/x\r\n\r\n", False, 400),
+        (b"GET /nope HTTP/1.0\r\n\r\n", False, 404),
+        (_post_head(b"Content-Length: 10", body=b'{"te'), True, 408),
+        (_post_head(b"Content-Length: 65537", body=b""), False, 413),
+        (b"DELETE /v1/query HTTP/1.0\r\n\r\n", False, 501),
+    ])
+    def test_answer_is_one_sendall(self, config, raw, cut_off, status):
+        service = MedService(config)
+        httpd = make_server(service, "127.0.0.1", 0)
+        server_end, client_end = socket.socketpair()
+        try:
+            sock = _WriteCounter(server_end)
+            arrival = service_module._Arrival(sock, ("client", 0), time.monotonic() + 5)
+            arrival.take(raw)
+            arrival.cut_off = cut_off
+            httpd.RequestHandlerClass.handle(arrival)
+            server_end.close()
+            assert len(sock.writes) == 1
+            assert _read_reply(client_end)[0] == status
+            assert sock.writes[0].startswith(b"HTTP/1.0 %d " % status)
+        finally:
+            client_end.close()
+            httpd.server_close()
+            service.close()
+
+    @pytest.mark.parametrize("raw", [
+        _post_head(_CL), _post_head(_CL, end=b"\n"), b"GET /healthz HTTP/1.0\n\r\n",
+    ])
+    def test_head_trickled_a_byte_at_a_time(self, raw):
+        whole = service_module._Arrival(None, None, 0.0)
+        assert whole.take(raw)
+        trickled = service_module._Arrival(None, None, 0.0)
+        assert not any(trickled.take(raw[k:k + 1]) for k in range(len(raw) - 1))
+        assert trickled.take(raw[-1:])
+        assert (trickled.head, trickled.size) == (whole.head, whole.size) != (None, None)
+
+    def test_date_field(self):
+        for t in (0, 951782400, 1_700_000_000, 4_102_444_799):
+            assert service_module._http_date(t) == email.utils.formatdate(t, usegmt=True)
+        head = service_module._reply(200, {}).split(b"\r\n\r\n")[0].decode("ascii")
+        date = head.split("\r\nDate: ")[1].split("\r\n")[0]
+        assert abs(email.utils.parsedate_to_datetime(date).timestamp() - time.time()) < 2
 
 
 class TestBench:
