@@ -38,9 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import secrets
 import struct
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -196,8 +198,10 @@ class QuantizedTensor:
         expected = (n + self.block_size - 1) // self.block_size
         if self.scales.shape != (expected,):
             raise ValueError(f"expected {expected} scales, got {self.scales.shape}")
-        if np.any(self.scales < 0):
-            raise ValueError("scales must be non-negative")
+        # a NaN minimum fails the compare too
+        if self.scales.size and not (self.scales.min() >= 0
+                                     and math.isfinite(self.scales.max())):
+            raise ValueError("scales must be finite and non-negative")
 
 
 def pack_nf4(codes: np.ndarray) -> bytes:
@@ -533,26 +537,60 @@ def _layer_table(path, header) -> list[dict]:
     return layers
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (header dict, dequantized weights per layer)."""
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)  # segments are sliced without a copy
-    if blob[:8] != CHECKPOINT_MAGIC:
+class CheckpointWeights(Mapping):
+    """A read checkpoint's layers by name, in table order. Each lookup
+    decodes its layer afresh from the mapped file into a new float64 array
+    and keeps nothing, so a caller that takes one layer at a time holds one
+    decoded layer at a time."""
+
+    def __init__(self, layers: dict[str, QuantizedTensor | np.ndarray]):
+        self._layers = layers  # a QuantizedTensor, or a float16 array view
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        layer = self._layers[name]
+        if isinstance(layer, QuantizedTensor):
+            return dequantize(layer)
+        return layer.astype(np.float64)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._layers)
+
+    def __len__(self) -> int:
+        return len(self._layers)
+
+
+def read_checkpoint(path) -> tuple[dict, CheckpointWeights]:
+    """Returns (header dict, the layers as a read-only CheckpointWeights).
+
+    The file is mapped read-only, not read, and checked in full before this
+    returns: the magic, the lengths, every table entry and every layer's
+    scales, so a lookup never raises. Codes and scales stay in the map until
+    a layer is looked up. write_checkpoint only ever renames a new file over
+    path, so a mapping keeps decoding the bytes it was opened on; truncating
+    the file in place under a live mapping is not supported. Each live
+    mapping holds one duplicated file descriptor until it is dropped.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses an empty file
+            raise ValueError(f"{path}: not a quantized checkpoint")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    if mapped[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a quantized checkpoint")
-    if len(blob) < 12:
+    if len(mapped) < 12:
         raise ValueError(f"{path}: truncated checkpoint: no header length")
-    (header_len,) = struct.unpack("<I", blob[8:12])
+    (header_len,) = struct.unpack("<I", mapped[8:12])
     offset = 12 + header_len
-    if offset > len(blob):
+    if offset > len(mapped):
         raise ValueError(f"{path}: truncated checkpoint: header runs past end of file")
-    header = json.loads(blob[12:offset].decode("utf-8"))
+    header = json.loads(mapped[12:offset].decode("utf-8"))
     table = _layer_table(path, header)
     segments = sum(e["codes_len"] + e["scales_len"] for e in table)
-    if segments != len(blob) - offset:
+    if segments != len(mapped) - offset:
         raise ValueError(
-            f"{path}: segments total {segments} bytes but {len(blob) - offset} follow the header"
+            f"{path}: segments total {segments} bytes but {len(mapped) - offset} follow the header"
         )
-    weights = {}
+    view = memoryview(mapped)  # segments are sliced without a copy
+    layers = {}
     for entry in table:
         codes = view[offset:offset + entry["codes_len"]]
         offset += entry["codes_len"]
@@ -560,12 +598,14 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += entry["scales_len"]
         shape = tuple(entry["shape"])
         if entry["bits"] == 16:
-            weights[entry["name"]] = np.frombuffer(codes, dtype="<f2").astype(np.float64).reshape(shape)
-        else:
-            qt = QuantizedTensor(
+            layers[entry["name"]] = np.frombuffer(codes, dtype="<f2").reshape(shape)
+            continue
+        try:
+            layers[entry["name"]] = QuantizedTensor(
                 kind="nf4" if entry["bits"] == 4 else "int8", data=codes,
-                scales=np.frombuffer(scales, dtype="<f4").astype(np.float32),
+                scales=np.frombuffer(scales, dtype="<f4"),
                 shape=shape, block_size=header["block_size"],
             )
-            weights[entry["name"]] = dequantize(qt)
-    return header, weights
+        except ValueError as exc:
+            raise ValueError(f"{path}: layer {entry['name']!r}: {exc}") from None
+    return header, CheckpointWeights(layers)

@@ -233,8 +233,11 @@ def _parse_head(received: bytearray, end: int) -> _Head:
     for a head over _MAX_HEAD_BYTES or over _MAX_FIELDS field lines; 400
     unless the request line is three words ending in HTTP/1.x; 505 for
     HTTP/2 and above; 501 for a method other than GET and POST; 400 for an
-    obs-folded, colonless or otherwise malformed field line or for differing
-    Content-Length fields; 400 or 413 for a bad or too large Content-Length.
+    obs-folded, colonless or otherwise malformed field line, for differing
+    Content-Length fields, for a repeated Host field or, in HTTP/1.1, none
+    (§3.2); 400 for Transfer-Encoding in HTTP/1.0 or without chunked last,
+    and 501 for any other, since no transfer coding is implemented (§6.1);
+    400 or 413 for a bad or too large Content-Length.
     """
     if received.find(b"\n", 0, _MAX_LINE_BYTES) < 0:
         raise _Refused(414, f"request line exceeds {_MAX_LINE_BYTES} bytes")
@@ -270,9 +273,20 @@ def _parse_head(received: bytearray, end: int) -> _Head:
                 if _content_length(value) != _content_length(fields[name]):
                     raise _Refused(400, "conflicting Content-Length fields")
                 continue
+            if name == "host":
+                raise _Refused(400, "more than one Host field")
             value = f"{fields[name]}, {value}"
         fields[name] = value
 
+    http10 = words[2] == b"HTTP/1.0"
+    if not http10 and "host" not in fields:
+        raise _Refused(400, "an HTTP/1.1 request must carry a Host field")
+    if "transfer-encoding" in fields:
+        # the body's length cannot be known, so the framing is faulty
+        if http10 or fields["transfer-encoding"].rsplit(",", 1)[-1].strip().lower() != "chunked":
+            raise _Refused(400, "Transfer-Encoding in an HTTP/1.0 request or without "
+                                "chunked last")
+        raise _Refused(501, "Transfer-Encoding not implemented; send Content-Length")
     length = _content_length(fields.get("content-length", "0"))
     if length is None:
         raise _Refused(400, "Content-Length must be a non-negative integer")

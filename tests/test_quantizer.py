@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +500,14 @@ class TestTensorRoundTrip:
             pack_nf4(np.array([16]))
         assert dequantize(bad).shape == (1,)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="scales must be finite and non-negative"):
+            QuantizedTensor(
+                kind="int8", data=bytes(3),
+                scales=np.array([1.0, value], dtype=np.float32), shape=(3,), block_size=2,
+            )
+
     @pytest.mark.parametrize("kind,length", [("nf4", 1), ("nf4", 3), ("int8", 2), ("int8", 4)])
     def test_code_length_checked(self, kind, length):
         # three values need exactly 2 nf4 bytes or 3 int8 bytes
@@ -775,6 +785,82 @@ class TestCheckpointContainer:
         with pytest.raises(ValueError, match="bad.msq: layer 'embed': block size .* not a "
                                              "positive integer"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_scale_named(self, tmp_path, value):
+        # layer 1 is "attn": its scales follow layer 0's segments and its codes
+        blob = bytearray(self._written(tmp_path))
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        embed, attn = json.loads(blob[12:header_end])["layers"][:2]
+        at = header_end + embed["codes_len"] + embed["scales_len"] + attn["codes_len"]
+        blob[at:at + 4] = struct.pack("<f", value)
+        path = tmp_path / "bad.msq"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.msq: layer 'attn': scales must be "
+                                             "finite and non-negative"):
+            read_checkpoint(path)
+
+    # sha256 of every layer's decoded float64 bytes, in table order
+    DECODED_DIGEST = "cffcb060c94b738e49ff04cac059879b4b17c06f4b9388f0b92c2887d52f55b0"
+
+    @staticmethod
+    def _decoded_digest(header, weights) -> str:
+        blob = b"".join(weights[e["name"]].tobytes() for e in header["layers"])
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_decoded_layers_pinned(self, tmp_path):
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, *self._pinned_case())
+        header, weights = read_checkpoint(path)
+        assert list(weights) == [e["name"] for e in header["layers"]]
+        assert self._decoded_digest(header, weights) == self.DECODED_DIGEST
+
+    def test_layer_at_a_time_read_is_bounded(self, tmp_path):
+        # eight 4-bit (512, 1024) layers: 2.25 MiB on disk, 4 MiB each decoded
+        shape = (512, 1024)
+        manifest = ModelManifest(tuple(
+            LayerSpec(f"ffn{i}", LayerClass.FEEDFORWARD, shape) for i in range(8)
+        ))
+        w = np.random.default_rng(17).standard_normal(shape, dtype=np.float32)
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, manifest, PrecisionPolicy(), {l.name: w for l in manifest.layers})
+        del w
+        tracemalloc.start()
+        try:
+            _, weights = read_checkpoint(path)
+            for name in weights:
+                assert weights[name].shape == shape
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * math.prod(shape) * 8
+
+    def test_open_mapping_outlives_rewrite(self, tmp_path):
+        path = tmp_path / "model.msq"
+        manifest, policy, weights = self._pinned_case()
+        write_checkpoint(path, manifest, policy, weights)
+        old_header, old = read_checkpoint(path)
+        write_checkpoint(path, manifest, policy, {k: 2 * v for k, v in weights.items()})
+        assert self._decoded_digest(old_header, old) == self.DECODED_DIGEST
+        _, new = read_checkpoint(path)
+        for name in old:
+            assert np.array_equal(new[name], 2 * old[name])
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.msq"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty.msq: not a quantized checkpoint"):
+            read_checkpoint(path)
+
+    def test_weights_read_only(self, tmp_path):
+        path = tmp_path / "model.msq"
+        write_checkpoint(path, *self._pinned_case())
+        _, weights = read_checkpoint(path)
+        with pytest.raises(TypeError):
+            weights["x"] = np.zeros(1)
+        with pytest.raises(TypeError):
+            del weights["attn"]
+        assert len(weights) == 4
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.msq"

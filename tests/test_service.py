@@ -665,15 +665,18 @@ class TestWorkerPool:
 _QUERY = b'{"text": "what is a fever"}'
 
 
-def _post_head(*fields: bytes, body: bytes = _QUERY, end: bytes = b"\r\n") -> bytes:
-    return b"POST /v1/query HTTP/1.0" + end + b"".join(f + end for f in fields) + end + body
+def _post_head(*fields: bytes, body: bytes = _QUERY, end: bytes = b"\r\n",
+               version: bytes = b"HTTP/1.0") -> bytes:
+    return (b"POST /v1/query " + version + end + b"".join(f + end for f in fields) + end
+            + body)
 
 
 _CL = b"Content-Length: %d" % len(_QUERY)
 
 # (raw request, status, a fragment of the JSON error; status None: closed
 # unanswered). "was:" gives the answer of the BaseHTTPRequestHandler server
-# this parser replaced, on the rows it answered otherwise.
+# this parser replaced, on the rows it answered otherwise; on the Host and
+# Transfer-Encoding rows, this parser gave the same until it checked them.
 RAW_HEADS = [
     # request line
     pytest.param(b"GET /healthz HTTP/x\r\n\r\n", 400, "request line",
@@ -705,6 +708,23 @@ RAW_HEADS = [
                  id="differing-content-lengths"),  # was: 200 from the first
     pytest.param(_post_head(b"X: a\x01b", _CL), 400, "header",
                  id="control-character-in-value"),  # was: 200
+    pytest.param(b"GET /healthz HTTP/1.1\r\n\r\n", 400, "Host",
+                 id="http-1.1-without-host"),  # was: 200
+    pytest.param(b"GET /healthz HTTP/1.0\r\nHost: a\r\nHost: b\r\n\r\n", 400, "Host",
+                 id="two-hosts"),  # was: 200
+    pytest.param(b"GET /healthz HTTP/1.1\r\nHost: a\r\nHost: a\r\n\r\n", 400, "Host",
+                 id="two-identical-hosts-http-1.1"),  # was: 200
+    pytest.param(_post_head(b"Host: a", _CL, version=b"HTTP/1.1"), 200, None,
+                 id="http-1.1-with-host"),
+    pytest.param(_post_head(b"Host: a", b"Transfer-Encoding: chunked", version=b"HTTP/1.1",
+                            body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(_QUERY), _QUERY)),
+                 501, "Transfer-Encoding",
+                 id="chunked-http-1.1"),  # was: 400 "Expecting value", chunks unread
+    pytest.param(_post_head(b"Host: a", b"Transfer-Encoding: chunked, gzip", _CL,
+                            version=b"HTTP/1.1"), 400, "Transfer-Encoding",
+                 id="chunked-not-last-http-1.1"),  # was: 200 from the length
+    pytest.param(_post_head(b"Transfer-Encoding: chunked", _CL), 400, "Transfer-Encoding",
+                 id="transfer-encoding-and-length-http-1.0"),  # was: 200 from the length
     pytest.param(_post_head(_CL, _CL), 200, None, id="identical-content-lengths"),
     pytest.param(_post_head(_CL, end=b"\n"), 200, None, id="lf-line-ends"),
     # body framing and the existing cases
