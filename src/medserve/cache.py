@@ -1,8 +1,8 @@
 """Response cache: one entry store, a memory LRU tier, and a disk log.
 
-Entries live in one store keyed by query text, in first-insert (log) order;
-the memory tier is a `capacity`-bounded LRU order over its keys, and a stored
-entry outside that order is a disk-tier entry. Lookups try an exact text
+Entries live in one store, a list of rows indexed by query text in
+first-insert (log) order; the memory tier is a `capacity`-bounded LRU order
+over its keys, and a stored entry outside that order is a disk-tier entry. Lookups try an exact text
 match first, then the best semantic match (memory before disk) whose blended
 similarity (token-set Jaccard plus cosine over feature-hashed bag-of-token
 embeddings) clears the acceptance threshold. An entry inserted while the log
@@ -14,7 +14,8 @@ Each stored entry's embedding is also one float32 row of a matrix, in log
 order. A semantic lookup scores every row with one matrix-vector product and
 rescores, exactly, only the rows whose cosine could still clear the
 threshold: since Jaccard is at most 1, a blend of at least tau needs a
-cosine of at least (tau - alpha) / (1 - alpha).
+cosine of at least (tau - alpha) / (1 - alpha), whatever that cut's sign.
+With alpha = 1 cosine has no weight, and every row is rescored.
 
 Disk appends run on a background writer thread; inserts are acknowledged
 after the memory write and a close() flush barrier drains the queue.
@@ -285,26 +286,21 @@ class TwoLevelCache:
         self.config = config or SimilarityConfig()
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._entries: dict[str, CacheEntry] = {}  # first-insert (log) order
         # The memory tier in LRU order; a key's value is the tick of its last
         # touch, so sorting by it restores that order.
         self._lru: OrderedDict[str, int] = OrderedDict()
         self._ticks = itertools.count()
         self._unlogged: set[str] = set()
-        # Row i of the matrix is the embedding of _row_entries[i]; rows follow
-        # log order. A dropped entry leaves None in its row until _compact
-        # renumbers. The cosine and mask buffers match the matrix, so a
-        # lookup allocates nothing in proportion to the store.
+        # The store: _row_of maps each query, in first-insert (log) order, to
+        # its row; row i of the matrix is the embedding of _row_entries[i]. A
+        # dropped entry leaves None in its row until _compact renumbers.
         self._matrix = np.zeros((_INITIAL_ROWS, EMBED_DIM), dtype=np.float32)
-        self._cosines = np.empty(_INITIAL_ROWS, dtype=np.float32)
-        self._passing = np.empty(_INITIAL_ROWS, dtype=bool)
         self._row_entries: list[CacheEntry | None] = []
         self._row_of: dict[str, int] = {}
-        # A row whose cosine is below the cut has a blend below tau: no
-        # cut when alpha is 1 (cosine has no weight) or the cut is not positive.
+        # A row whose cosine is below the cut has a blend below tau, whatever
+        # the cut's sign; when alpha is 1, cosine has no weight and no row is cut.
         alpha, tau = self.config.alpha, self.config.tau
-        cut = (tau - alpha) / (1.0 - alpha) - PRUNE_MARGIN if alpha < 1.0 else 0.0
-        self._cut = cut if cut > 0.0 else None
+        self._cut = (tau - alpha) / (1.0 - alpha) - PRUNE_MARGIN if alpha < 1.0 else -np.inf
         self._log: DiskLog | None = None
         self.degraded = disk_dir is None
         self._queue: queue.Queue = queue.Queue()
@@ -348,15 +344,15 @@ class TwoLevelCache:
         `features`, when given, are the query's (as passed to `lookup`).
         """
         with self._lock:
-            existing = self._entries.get(query)
-            if existing is None or existing.response != response:
+            row = self._row_of.get(query)
+            if row is None or self._row_entries[row].response != response:
                 features = features or QueryFeatures(query)
                 entry = CacheEntry.build(query, response, category,
                                          tokens=features.token_set,
                                          embedding=features.embedding)
                 self._store(entry)
                 self.stats.inserts += 1
-                if self._log is not None and not self.degraded:
+                if not self.degraded:
                     self._queue.put(entry)
                 else:
                     self._unlogged.add(query)
@@ -374,11 +370,9 @@ class TwoLevelCache:
         else:
             self._row_entries[row] = entry
         self._matrix[row] = entry.embedding
-        self._entries[entry.query] = entry
 
     def _drop(self, query: str):
         """Remove an entry from the store; compact once most rows are dead."""
-        del self._entries[query]
         row = self._row_of.pop(query)
         self._row_entries[row] = None
         if 2 * len(self._row_of) < len(self._row_entries):
@@ -392,13 +386,10 @@ class TwoLevelCache:
         self._row_of = {entry.query: row for row, entry in enumerate(self._row_entries)}
 
     def _grow(self):
-        """Double the matrix and its buffers."""
-        rows = 2 * len(self._matrix)
-        matrix = np.zeros((rows, EMBED_DIM), dtype=np.float32)
+        """Double the matrix."""
+        matrix = np.zeros((2 * len(self._matrix), EMBED_DIM), dtype=np.float32)
         matrix[:len(self._matrix)] = self._matrix
         self._matrix = matrix
-        self._cosines = np.empty(rows, dtype=np.float32)
-        self._passing = np.empty(rows, dtype=bool)
 
     def _touch(self, query: str):
         """Put a key at the MRU end of the memory tier, evicting as needed."""
@@ -421,9 +412,10 @@ class TwoLevelCache:
         when given, must describe `query`; a later `insert` can reuse them.
         """
         with self._lock:
-            entry = self._entries.get(query)
-            if entry is not None:
-                return self._hit(entry, "memory" if query in self._lru else "disk", 1.0)
+            row = self._row_of.get(query)
+            if row is not None:
+                tier = "memory" if query in self._lru else "disk"
+                return self._hit(self._row_entries[row], tier, 1.0)
             features = features or QueryFeatures(query)
             tokens, vec = features.token_set, features.embedding
             for tier, entries in zip(("memory", "disk"), self._candidates(vec)):
@@ -437,14 +429,9 @@ class TwoLevelCache:
         """The entries whose blend with `vec` can reach tau: memory-tier ones
         in LRU order, then disk-tier ones in log order."""
         used = len(self._row_entries)
-        if self._cut is None:
-            rows = range(used)
-        else:
-            cosines = np.dot(self._matrix[:used], vec, out=self._cosines[:used])
-            passing = np.greater_equal(cosines, self._cut, out=self._passing[:used])
-            rows = np.flatnonzero(passing).tolist()
+        passing = np.dot(self._matrix[:used], vec) >= self._cut
         memory, disk = [], []
-        for row in rows:
+        for row in np.flatnonzero(passing).tolist():
             entry = self._row_entries[row]
             if entry is not None:
                 (memory if entry.query in self._lru else disk).append(entry)
@@ -493,6 +480,7 @@ class TwoLevelCache:
         if self._log is not None:
             self._log.close()
             self._log = None
+            self.degraded = True  # later inserts stay unlogged
 
     def __enter__(self):
         return self

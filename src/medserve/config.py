@@ -39,6 +39,12 @@ class CacheSettings:
     similarity: SimilarityConfig
     disk_dir: str | None
 
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        if not (self.disk_dir is None or isinstance(self.disk_dir, str)):
+            raise ValueError(f"cache disk_dir must be a string or null, not {self.disk_dir!r}")
+
 
 @dataclass(frozen=True)
 class RuntimeSettings:

@@ -506,19 +506,26 @@ def _write_layer(fh, spec: LayerSpec, bits: int, block_size: int,
 
 
 def _layer_table(path, header) -> list[dict]:
-    """The header's layer entries, each checked against the format: a name,
-    4, 8 or 16 bits, a shape of non-negative integers, and segment lengths
-    equal to what those and the block size give."""
+    """The header's layer entries, each checked against the format: a name
+    no other entry has, 4, 8 or 16 bits, a shape of non-negative integers,
+    and integer segment lengths equal to what those and the block size give."""
     layers = header.get("layers") if isinstance(header, dict) else None
     if not isinstance(layers, list):
         raise ValueError(f"{path}: header has no layer list")
+    names = set()
     for i, entry in enumerate(layers):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValueError(f"{path}: layer {i}: entry has no name")
         where = f"{path}: layer {entry['name']!r}"
+        if entry["name"] in names:
+            raise ValueError(f"{where}: name repeats an earlier entry's")
+        names.add(entry["name"])
         missing = sorted({"bits", "shape", "codes_len", "scales_len"} - entry.keys())
         if missing:
             raise ValueError(f"{where}: entry has no {', '.join(missing)}")
+        for key in ("codes_len", "scales_len"):
+            if type(entry[key]) is not int:
+                raise ValueError(f"{where}: {key} {entry[key]!r} is not an integer")
         bits, shape = entry["bits"], entry["shape"]
         if type(bits) is not int or bits not in (4, 8, 16):
             raise ValueError(f"{where}: bits {bits!r} is not 4, 8 or 16")
@@ -563,12 +570,13 @@ def read_checkpoint(path) -> tuple[dict, CheckpointWeights]:
     """Returns (header dict, the layers as a read-only CheckpointWeights).
 
     The file is mapped read-only, not read, and checked in full before this
-    returns: the magic, the lengths, every table entry and every layer's
-    scales, so a lookup never raises. Codes and scales stay in the map until
-    a layer is looked up. write_checkpoint only ever renames a new file over
-    path, so a mapping keeps decoding the bytes it was opened on; truncating
-    the file in place under a live mapping is not supported. Each live
-    mapping holds one duplicated file descriptor until it is dropped.
+    returns: the magic, the lengths, the header, every table entry, every
+    layer's scales and every 16-bit weight, so a lookup never raises. Codes
+    and scales stay in the map until a layer is looked up. write_checkpoint
+    only ever renames a new file over path, so a mapping keeps decoding the
+    bytes it was opened on; truncating the file in place under a live
+    mapping is not supported. Each live mapping holds one duplicated file
+    descriptor until it is dropped.
     """
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses an empty file
@@ -582,7 +590,10 @@ def read_checkpoint(path) -> tuple[dict, CheckpointWeights]:
     offset = 12 + header_len
     if offset > len(mapped):
         raise ValueError(f"{path}: truncated checkpoint: header runs past end of file")
-    header = json.loads(mapped[12:offset].decode("utf-8"))
+    try:
+        header = json.loads(mapped[12:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     table = _layer_table(path, header)
     segments = sum(e["codes_len"] + e["scales_len"] for e in table)
     if segments != len(mapped) - offset:
@@ -598,7 +609,11 @@ def read_checkpoint(path) -> tuple[dict, CheckpointWeights]:
         offset += entry["scales_len"]
         shape = tuple(entry["shape"])
         if entry["bits"] == 16:
-            layers[entry["name"]] = np.frombuffer(codes, dtype="<f2").reshape(shape)
+            layer = np.frombuffer(codes, dtype="<f2").reshape(shape)
+            if not np.isfinite(layer).all():
+                raise ValueError(f"{path}: layer {entry['name']!r}: 16-bit weights "
+                                 "must be finite")
+            layers[entry["name"]] = layer
             continue
         try:
             layers[entry["name"]] = QuantizedTensor(

@@ -1,9 +1,10 @@
 """End-to-end query service: classify, prompt, cache, generate, respond.
 
 MedService wires the pipeline together behind one handle_query call; the
-HTTP layer is a thin stdlib server exposing POST /v1/query, GET /v1/metrics,
-and GET /healthz. Engine choice and deployment mode are decided once at
-startup (and again on explicit reload), not per request.
+HTTP layer, on the stdlib's socket and selectors alone, exposes POST
+/v1/query, GET /v1/metrics, and GET /healthz. Engine choice and deployment
+mode are decided once at startup (and again on explicit reload), not per
+request.
 
 The server speaks HTTP/1.0, one request per connection. It accepts
 connections and receives their requests on one thread, which parses each
@@ -22,7 +23,6 @@ import queue
 import re
 import selectors
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -219,8 +219,6 @@ class _Refused(Exception):
 class _Head:
     method: str  # "GET" or "POST"
     target: str
-    version: str  # HTTP/1.x
-    fields: dict[str, str]  # lower-cased name -> value, repeats joined with ", "
     length: int  # Content-Length, 0 when absent
 
 
@@ -260,7 +258,7 @@ def _parse_head(received: bytearray, end: int) -> _Head:
 
     if len(lines) > _MAX_FIELDS:
         raise _Refused(431, f"more than {_MAX_FIELDS} header fields")
-    fields: dict[str, str] = {}
+    fields: dict[str, str] = {}  # lower-cased name -> value, repeats joined with ", "
     for line in lines:
         field = _FIELD.fullmatch(line)
         if field is None:
@@ -292,7 +290,7 @@ def _parse_head(received: bytearray, end: int) -> _Head:
         raise _Refused(400, "Content-Length must be a non-negative integer")
     if length > MAX_BODY_BYTES:
         raise _Refused(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    return _Head(method, target, words[2].decode("ascii"), fields, length)
+    return _Head(method, target, length)
 
 
 _STATUS_LINES = {status.value: f"HTTP/1.0 {status.value} {status.phrase}\r\n"
@@ -322,13 +320,21 @@ def _reply(status: int, payload: dict, fields: str = "") -> bytes:
     ).encode("ascii") + body
 
 
+def _close(sock: socket.socket):
+    """Send FIN at once, then close the socket."""
+    try:
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # the connection is already gone
+    sock.close()
+
+
 class _Arrival:
     """An accepted connection and the bytes of its request received so far,
     with its head parsed once the head is in."""
 
-    def __init__(self, sock: socket.socket, client_address, deadline: float):
+    def __init__(self, sock: socket.socket, deadline: float):
         self.sock = sock
-        self.client_address = client_address
         self.deadline = deadline
         self.received = bytearray()
         self.head: _Head | None = None
@@ -360,89 +366,29 @@ class _Arrival:
         return len(self.received) >= self.size
 
 
-class _Handler:
-    """Answers the requests PooledHTTPServer has received, from their parsed
-    heads; make_server binds the service."""
-
-    service: MedService = None  # set by make_server
-    timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
-
-    @classmethod
-    def handle(cls, arrival: _Arrival):
-        """Answer on the arrival's socket in one write, or not at all when
-        nothing came or the head was still arriving at the deadline (as on a
-        socket timeout)."""
-        answer = cls._answer(arrival)
-        if answer is None:
-            return
-        status, payload = answer
-        if arrival.head is not None:
-            log.debug("http: %s %s %d", arrival.head.method, arrival.head.target, status)
-        try:
-            arrival.sock.settimeout(cls.timeout)
-            arrival.sock.sendall(_reply(status, payload))
-        except OSError:
-            pass  # the client went away or stopped reading; nothing to deliver
-
-    @classmethod
-    def _answer(cls, arrival: _Arrival) -> tuple[int, dict] | None:
-        if arrival.refused is not None:
-            return arrival.refused.status, {"error": str(arrival.refused)}
-        head = arrival.head
-        if head is None:
-            if arrival.cut_off or not arrival.received:
-                return None
-            return 400, {"error": "request head incomplete"}  # input ended inside it
-        if len(arrival.received) < arrival.size:
-            if arrival.cut_off:
-                return 408, {"error": "request body not received in time"}
-            return 400, {"error": "request body incomplete"}
-
-        if head.method == "GET":
-            if head.target == "/healthz":
-                return 200, {"status": "ok"}
-            if head.target == "/v1/metrics":
-                return 200, cls.service.metrics()
-            return 404, {"error": "not found"}
-        if head.target != "/v1/query":
-            return 404, {"error": "not found"}
-        body = arrival.received[arrival.size - head.length:arrival.size]
-        try:
-            doc = json.loads(body.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise BadRequest("request body must be a JSON object")
-            response = cls.service.handle_query(doc.get("text", ""))
-        except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
-            return 400, {"error": str(exc)}
-        except EngineFailure as exc:
-            return 502, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("unhandled error")
-            return 500, {"error": str(exc)}
-        return 200, response.as_dict()
-
-
-class PooledHTTPServer(socketserver.TCPServer):
-    """A TCP server that reads each request in full on the accept thread,
+class PooledHTTPServer:
+    """An HTTP server that reads each request in full on the accept thread,
     then answers it on one of POOL_WORKERS threads started with the server.
 
     serve_forever() accepts connections and receives their requests through
     one selector; at most INTAKE_SLOTS connections may be arriving, each
-    for at most the handler's timeout from its accept, and a connection cut
-    off by that deadline is handed on to get its 408. A received request
-    waits for a worker in a queue; at most POOL_WORKERS + QUEUE_SLOTS are
-    queued or in a worker's hands at once. No worker ever
-    waits on a client's input, so idle or trickling clients cannot hold the
-    pool. A connection that finds the intake or the queue full is answered
-    503 and closed without blocking. server_close() closes the connections
-    still arriving or queued and stops the workers once they finish the
-    requests in hand.
+    for at most `timeout` seconds from its accept, and a connection cut off
+    by that deadline is handed on to get its 408. A received request waits
+    for a worker in a queue; at most POOL_WORKERS + QUEUE_SLOTS are queued
+    or in a worker's hands at once. No worker ever waits on a client's
+    input, so idle or trickling clients cannot hold the pool. A connection
+    that finds the intake or the queue full is answered 503 and closed
+    without blocking. server_close() closes the connections still arriving
+    or queued and stops the workers once they finish the requests in hand.
     """
 
-    allow_reuse_address = True
+    timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
 
-    def __init__(self, server_address, RequestHandlerClass):
-        super().__init__(server_address, RequestHandlerClass)
+    def __init__(self, service: MedService, address):
+        self.service = service
+        # SO_REUSEADDR is set; a failed bind raises before any worker starts
+        self._listener = socket.create_server(address, backlog=5)
+        self.server_address = self._listener.getsockname()
         self._selector = selectors.DefaultSelector()
         # in accept order, so in deadline order; touched by serve_forever only
         self._arriving: dict[socket.socket, _Arrival] = {}
@@ -463,18 +409,17 @@ class PooledHTTPServer(socketserver.TCPServer):
         """Accept and receive requests until shutdown(), which it checks every
         poll_interval seconds."""
         self._stopped.clear()
-        self._selector.register(self, selectors.EVENT_READ)
+        self._selector.register(self._listener, selectors.EVENT_READ)
         try:
             while not self._stop:
                 for key, _ in self._selector.select(self._wait(poll_interval)):
                     if key.data is None:
-                        self._handle_request_noblock()  # accept -> process_request
+                        self._accept()
                     elif self._receive(key.data):
                         self._leave_intake(key.data)
                 self._expire()
-                self.service_actions()
         finally:
-            self._selector.unregister(self)
+            self._selector.unregister(self._listener)
             self._stop = False
             self._stopped.set()
 
@@ -489,17 +434,20 @@ class PooledHTTPServer(socketserver.TCPServer):
         first = next(iter(self._arriving.values()))
         return min(poll_interval, max(0.0, first.deadline - time.monotonic()))
 
-    def process_request(self, request, client_address):
+    def _accept(self):
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # e.g. the client reset the connection before the accept
         if len(self._arriving) >= INTAKE_SLOTS:
-            self._refuse(request)
+            self._refuse(sock)
             return
-        request.setblocking(False)
-        arrival = _Arrival(request, client_address,
-                           time.monotonic() + self.RequestHandlerClass.timeout)
+        sock.setblocking(False)
+        arrival = _Arrival(sock, time.monotonic() + self.timeout)
         # the request has often come by the time its connection is accepted
         if not self._receive(arrival):
-            self._selector.register(request, selectors.EVENT_READ, arrival)
-            self._arriving[request] = arrival
+            self._selector.register(sock, selectors.EVENT_READ, arrival)
+            self._arriving[sock] = arrival
 
     def _receive(self, arrival: _Arrival) -> bool:
         """Read what has come; True once the connection is handed on or closed."""
@@ -508,9 +456,9 @@ class PooledHTTPServer(socketserver.TCPServer):
         except BlockingIOError:
             return False
         except OSError:
-            self.shutdown_request(arrival.sock)
+            _close(arrival.sock)
             return True
-        # at end of input the handler gets what came
+        # at end of input the worker answers what came
         if data and not arrival.take(data):
             return False
         self._hand_over(arrival)
@@ -546,30 +494,82 @@ class PooledHTTPServer(socketserver.TCPServer):
             sock.recv(_RECV_BYTES)
         except OSError:
             pass  # nothing sent or nothing to drain
-        self.shutdown_request(sock)
+        _close(sock)
 
     def _work(self):
         while (arrival := self._ready.get()) is not None:
             try:
-                self.RequestHandlerClass.handle(arrival)
+                self.handle(arrival)
             except Exception:
-                self.handle_error(arrival.sock, arrival.client_address)
+                log.exception("error answering a request")
             finally:
-                self.shutdown_request(arrival.sock)
+                _close(arrival.sock)
                 self._slots.release()
 
+    def handle(self, arrival: _Arrival):
+        """Answer on the arrival's socket in one write, or not at all when
+        nothing came or the head was still arriving at the deadline (as on a
+        socket timeout)."""
+        answer = self._answer(arrival)
+        if answer is None:
+            return
+        status, payload = answer
+        if arrival.head is not None:
+            log.debug("http: %s %s %d", arrival.head.method, arrival.head.target, status)
+        try:
+            arrival.sock.settimeout(self.timeout)
+            arrival.sock.sendall(_reply(status, payload))
+        except OSError:
+            pass  # the client went away or stopped reading; nothing to deliver
+
+    def _answer(self, arrival: _Arrival) -> tuple[int, dict] | None:
+        if arrival.refused is not None:
+            return arrival.refused.status, {"error": str(arrival.refused)}
+        head = arrival.head
+        if head is None:
+            if arrival.cut_off or not arrival.received:
+                return None
+            return 400, {"error": "request head incomplete"}  # input ended inside it
+        if len(arrival.received) < arrival.size:
+            if arrival.cut_off:
+                return 408, {"error": "request body not received in time"}
+            return 400, {"error": "request body incomplete"}
+
+        if head.method == "GET":
+            if head.target == "/healthz":
+                return 200, {"status": "ok"}
+            if head.target == "/v1/metrics":
+                return 200, self.service.metrics()
+            return 404, {"error": "not found"}
+        if head.target != "/v1/query":
+            return 404, {"error": "not found"}
+        body = arrival.received[arrival.size - head.length:arrival.size]
+        try:
+            doc = json.loads(body.decode("utf-8"))
+            if not isinstance(doc, dict):
+                raise BadRequest("request body must be a JSON object")
+            response = self.service.handle_query(doc.get("text", ""))
+        except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
+            return 400, {"error": str(exc)}
+        except EngineFailure as exc:
+            return 502, {"error": str(exc)}
+        except Exception as exc:  # pragma: no cover - defensive
+            log.exception("unhandled error")
+            return 500, {"error": str(exc)}
+        return 200, response.as_dict()
+
     def server_close(self):
-        super().server_close()
+        self._listener.close()
         self._selector.close()
         for sock in self._arriving:
-            self.shutdown_request(sock)
+            _close(sock)
         self._arriving.clear()
         while True:
             try:
                 arrival = self._ready.get_nowait()
             except queue.Empty:
                 break
-            self.shutdown_request(arrival.sock)
+            _close(arrival.sock)
         for _ in self._workers:
             self._ready.put(None)
         for worker in self._workers:
@@ -579,16 +579,18 @@ class PooledHTTPServer(socketserver.TCPServer):
 def make_server(service: MedService, host: str | None = None,
                 port: int | None = None) -> PooledHTTPServer:
     """Bind the HTTP server; port 0 picks a free port (server_address[1])."""
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    address = (host or service.config.host,
-               service.config.port if port is None else port)
-    return PooledHTTPServer(address, handler)
+    return PooledHTTPServer(service, (host or service.config.host,
+                                      service.config.port if port is None else port))
 
 
 def serve_forever(config: ServiceConfig, host: str | None = None,
                   port: int | None = None):
     service = MedService(config)
-    server = make_server(service, host, port)
+    try:
+        server = make_server(service, host, port)
+    except OSError:
+        service.close()
+        raise
     log.info("serving on %s:%d (engine=%s mode=%s)",
              *server.server_address[:2], service.engine_id, service.mode)
 

@@ -27,6 +27,11 @@ from medserve.cache import (
 token_sets = st.sets(st.sampled_from(["a", "b", "c", "d", "e", "f"]))
 
 
+def _store(cache) -> dict[str, CacheEntry]:
+    """The cache's stored entries by query, in first-insert (log) order."""
+    return {q: cache._row_entries[row] for q, row in cache._row_of.items()}
+
+
 class TestJaccard:
     def test_identical(self):
         assert jaccard({"a", "b"}, {"a", "b"}) == 1.0
@@ -177,7 +182,7 @@ class TestTwoLevelCache:
             cache.insert("query", "resp", "prevention")
             cache.lookup("query")
             cache.insert("query", "resp", "prevention")
-            entry = cache._entries["query"]
+            entry = _store(cache)["query"]
             assert entry.hits == 1
             cache.flush()
             size_before = (tmp_path / "cache.log").stat().st_size
@@ -266,7 +271,7 @@ class TestTwoLevelCache:
         cache.insert("second query", "r2", "diagnosis")
         assert cache.stats.evictions == 1
         assert cache.lookup("first query") is None
-        assert len(cache._entries) == 1
+        assert len(_store(cache)) == 1
         cache.close()
 
     def test_concurrent_inserts_and_lookups(self, tmp_path):
@@ -315,7 +320,7 @@ class TestMatchesTwoDictOracle:
         held = {**oracle._disk_index, **oracle._memory}
         return (
             (cache.stats, list(cache._lru),
-             {q: (e.response, e.category, e.hits) for q, e in cache._entries.items()}),
+             {q: (e.response, e.category, e.hits) for q, e in _store(cache).items()}),
             (oracle.stats, list(oracle._memory),
              {q: (e.response, e.category, e.hits) for q, e in held.items()}),
         )
@@ -363,8 +368,8 @@ def assert_rows_follow_store(cache):
     are the store in log order, and at most half the used rows are dead."""
     rows = cache._row_entries
     live = [entry for entry in rows if entry is not None]
-    assert [e.query for e in live] == list(cache._entries)
-    assert all(a is b for a, b in zip(live, cache._entries.values()))
+    assert [e.query for e in live] == list(_store(cache))
+    assert all(a is b for a, b in zip(live, _store(cache).values()))
     assert cache._row_of == {e.query: r for r, e in enumerate(rows) if e is not None}
     for row, entry in enumerate(rows):
         assert entry is None or np.array_equal(cache._matrix[row], entry.embedding), row
@@ -434,7 +439,6 @@ class TestEmbeddingRows:
             for i in range(initial + 1):
                 cache.insert(f"query number {i}", "r")
             assert len(cache._matrix) == 2 * initial
-            assert len(cache._cosines) == len(cache._passing) == 2 * initial
             assert_rows_follow_store(cache)
             assert cache.lookup(f"{initial - 5} number query").tier == "disk"
 
@@ -478,7 +482,7 @@ class TestCosinePrune:
 
     @pytest.mark.parametrize("alpha, tau, hits", [
         (0.3, 0.92, False),  # cut 0.886: a zero embedding is pruned, rightly
-        (0.5, 0.5, True),    # tau <= alpha: no cut; Jaccard 1 alone reaches tau
+        (0.5, 0.5, True),    # tau <= alpha: a cut below 0; Jaccard 1 alone reaches tau
         (1.0, 0.9, True),    # alpha 1: cosine has no weight, no cut
     ])
     def test_empty_tokenization(self, alpha, tau, hits):
@@ -524,7 +528,7 @@ class TestCosinePrune:
         with TwoLevelCache(4) as cache:
             assert cache.lookup("Chest pain, chest!", features) is None
             cache.insert("Chest pain, chest!", "r", "emergency", features)
-            entry = cache._entries["Chest pain, chest!"]
+            entry = _store(cache)["Chest pain, chest!"]
         assert entry.tokens is features.token_set
         assert entry.embedding is features.embedding
         assert np.array_equal(entry.embedding, embed("Chest pain, chest!"))

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from medserve.quantizer import (
     _NF4_THRESHOLDS,
     _TILE_VALUES,
+    CHECKPOINT_MAGIC,
     NF4_LEVELS,
     LayerClass,
     LayerSpec,
@@ -766,6 +767,8 @@ class TestCheckpointContainer:
         (lambda h: h["layers"][1].update(shape=[13, -9]), "shape .* non-negative"),
         (lambda h: h["layers"][1].update(codes_len=116, scales_len=24),
          "codes_len 116 and scales_len 24 disagree .* give 117 and 20"),
+        (lambda h: h["layers"][1].update(codes_len=117.0), "codes_len 117.0 is not an integer"),
+        (lambda h: h["layers"][2].update(name="attn"), "name repeats an earlier entry's"),
     ])
     def test_bad_layer_entry_named(self, tmp_path, edit, message):
         # layer 1 is "attn", an 8-bit (13, 9) layer: 117 code and 20 scale bytes
@@ -798,6 +801,27 @@ class TestCheckpointContainer:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="bad.msq: layer 'attn': scales must be "
                                              "finite and non-negative"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("raw", [b'{"layers": "\xff"}', b'{"layers": [', b"\x00"])
+    def test_unreadable_header_named(self, tmp_path, raw):
+        path = tmp_path / "bad.msq"
+        path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(4, "little") + raw)
+        with pytest.raises(ValueError, match="bad.msq: header is not UTF-8 JSON"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fp16_weight_named(self, tmp_path, value):
+        # layer 3, "head", is the 16-bit layer and the last in the file
+        blob = bytearray(self._written(tmp_path))
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        head = json.loads(blob[12:header_end])["layers"][3]
+        at = len(blob) - head["codes_len"] + 2 * 7
+        blob[at:at + 2] = struct.pack("<e", value)
+        path = tmp_path / "bad.msq"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.msq: layer 'head': 16-bit weights "
+                                             "must be finite"):
             read_checkpoint(path)
 
     # sha256 of every layer's decoded float64 bytes, in table order

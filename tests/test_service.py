@@ -397,8 +397,8 @@ class TestHTTPAPI:
     def server(self, config, request):
         service = MedService(config)
         httpd = make_server(service, port=0)
-        if hasattr(request, "param"):  # handler socket timeout, seconds
-            httpd.RequestHandlerClass.timeout = request.param
+        if hasattr(request, "param"):  # server socket timeout, seconds
+            httpd.timeout = request.param
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         yield f"http://127.0.0.1:{httpd.server_address[1]}", service
@@ -500,7 +500,39 @@ class TestHTTPAPI:
         base, _ = server
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(base + "/nope", timeout=5)
+        err.value.close()
         assert err.value.code == 404
+
+    def test_busy_port_names_the_bind_error(self, config):
+        service = MedService(config)
+        busy = socket.create_server(("127.0.0.1", 0))
+        threads = threading.active_count()
+        try:
+            with pytest.raises(OSError, match="Address already in use"):
+                make_server(service, "127.0.0.1", busy.getsockname()[1])
+            assert threading.active_count() == threads  # no worker started
+        finally:
+            busy.close()
+            service.close()
+
+    def test_port_rebinds_at_once_after_close(self, config):
+        service = MedService(config)
+        try:
+            httpd = make_server(service, "127.0.0.1", 0)
+            thread = threading.Thread(target=httpd.serve_forever, args=(0.02,), daemon=True)
+            thread.start()
+            port = httpd.server_address[1]
+            # the server closes first, so its end of the connection is left in TIME_WAIT
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=5) as resp:
+                assert resp.status == 200
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5)
+            again = make_server(service, "127.0.0.1", port)
+            assert again.server_address[1] == port
+            again.server_close()
+        finally:
+            service.close()
 
 
 def _wait_until(condition, timeout=5.0):
@@ -620,7 +652,7 @@ class TestWorkerPool:
 
     def test_trickled_body_cut_off_at_deadline(self, pool):
         httpd, connect, _ = pool
-        httpd.RequestHandlerClass.timeout = 0.5
+        httpd.timeout = 0.5
         start = time.monotonic()
         sock = connect(b"POST /v1/query HTTP/1.0\r\nContent-Length: 10\r\n\r\n")
         # a byte every 0.1 s: no gap between bytes reaches the timeout, but
@@ -656,7 +688,7 @@ class TestWorkerPool:
         start = time.monotonic()
         httpd.shutdown()
         httpd.server_close()
-        assert time.monotonic() - start < httpd.RequestHandlerClass.timeout / 2
+        assert time.monotonic() - start < httpd.timeout / 2
         assert not any(worker.is_alive() for worker in httpd._workers)
         for sock in stalled:
             assert sock.recv(1) == b""  # closed by the server, unanswered
@@ -772,7 +804,7 @@ class TestRawHeads:
     def port(self, config):
         service = MedService(config)
         httpd = make_server(service, "127.0.0.1", 0)
-        httpd.RequestHandlerClass.timeout = 0.3
+        httpd.timeout = 0.3
         # a short poll interval, so that shutdown() returns at once
         thread = threading.Thread(target=httpd.serve_forever, args=(0.02,), daemon=True)
         thread.start()
@@ -829,10 +861,10 @@ class TestRawHeads:
         server_end, client_end = socket.socketpair()
         try:
             sock = _WriteCounter(server_end)
-            arrival = service_module._Arrival(sock, ("client", 0), time.monotonic() + 5)
+            arrival = service_module._Arrival(sock, time.monotonic() + 5)
             arrival.take(raw)
             arrival.cut_off = cut_off
-            httpd.RequestHandlerClass.handle(arrival)
+            httpd.handle(arrival)
             server_end.close()
             assert len(sock.writes) == 1
             assert _read_reply(client_end)[0] == status
@@ -846,9 +878,9 @@ class TestRawHeads:
         _post_head(_CL), _post_head(_CL, end=b"\n"), b"GET /healthz HTTP/1.0\n\r\n",
     ])
     def test_head_trickled_a_byte_at_a_time(self, raw):
-        whole = service_module._Arrival(None, None, 0.0)
+        whole = service_module._Arrival(None, 0.0)
         assert whole.take(raw)
-        trickled = service_module._Arrival(None, None, 0.0)
+        trickled = service_module._Arrival(None, 0.0)
         assert not any(trickled.take(raw[k:k + 1]) for k in range(len(raw) - 1))
         assert trickled.take(raw[-1:])
         assert (trickled.head, trickled.size) == (whole.head, whole.size) != (None, None)
@@ -964,6 +996,23 @@ class TestCLI:
         path = self._config_with(tmp_path, lambda d: d.update(remote_engine=remote))
         assert cli_main(["bench", "--config", path, "--requests", "2"]) == 2
         assert "timeout_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"capacity": 0}, "capacity must be >= 1"),
+        ({"disk_dir": 5}, "disk_dir must be a string"),
+    ])
+    def test_bad_cache_setting_exit_two(self, tmp_path, capsys, change, message):
+        path = self._config_with(tmp_path, lambda d: d["cache"].update(change))
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_serve_on_busy_port_names_the_bind_error(self, tmp_path, capsys):
+        path = self._config_with(tmp_path, lambda d: None)
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = str(busy.getsockname()[1])
+            assert cli_main(["serve", "--config", path, "--host", "127.0.0.1",
+                             "--port", port]) == 3
+        assert "Address already in use" in capsys.readouterr().err
 
     def test_zero_warmup_shape_exit_two(self, tmp_path, capsys):
         path = self._config_with(
