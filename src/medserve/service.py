@@ -1,17 +1,22 @@
 """End-to-end query service: classify, prompt, cache, generate, respond.
 
-MedService wires the pipeline together behind one handle_query call; the
-HTTP layer, on the stdlib's socket and selectors alone, exposes POST
-/v1/query, GET /v1/metrics, and GET /healthz. Engine choice and deployment
-mode are decided once at startup (and again on explicit reload), not per
-request.
+MedService wires the pipeline together behind one handle_query call, which
+is two halves split at the engine call: lookup_query (validate, classify,
+count, look up) and, on a miss, generate_answer (prompt, plan, generate,
+insert). The HTTP layer, on the stdlib's socket and selectors alone,
+exposes POST /v1/query, GET /v1/metrics, and GET /healthz. Engine choice
+and deployment mode are decided once at startup, not per request.
 
-The server speaks HTTP/1.0, one request per connection. It accepts
-connections and receives their requests on one thread, which parses each
-request head once, as it comes in, and frames the body from that parse;
-each received request then goes to a fixed pool of POOL_WORKERS threads,
-which answer from the same parse in one write. See PooledHTTPServer for the
-bounds and the 503, and _parse_head for the answers to malformed heads.
+The server speaks HTTP/1.0, one request per connection. One intake thread
+accepts connections, receives their requests, parses each request head
+once, as it comes in, and frames the body from that parse. It answers
+every request that needs no engine itself, in one non-blocking send:
+refused heads, 400, 404, 408, 413, /healthz, /v1/metrics and cache hits.
+Only a cache miss goes to the fixed pool of POOL_WORKERS threads, which
+generate and answer it in one write, so at most POOL_WORKERS generations
+are in flight and hits never wait on them. Identical misses in flight
+share one generation. See PooledHTTPServer for the bounds and the 503, and
+_parse_head for the answers to malformed heads.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .cache import QueryFeatures, TwoLevelCache
 from .config import ServiceConfig
 from .engines import RemoteEngineError, remote_engine_generate
 from .query_pipeline import (
+    ClassifiedQuery,
     KeywordLexicon,
     PromptTemplate,
     build_prompt,
@@ -46,9 +52,9 @@ log = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 64 * 1024
 _MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
-POOL_WORKERS = 16  # request threads; also the most engine calls in flight
+POOL_WORKERS = 16  # threads that answer cache misses; the most engine calls in flight
 INTAKE_SLOTS = 128  # connections whose request is still arriving
-QUEUE_SLOTS = 64  # received requests waiting for a worker
+QUEUE_SLOTS = 64  # misses (or unsent answer rests) waiting for a worker
 
 
 def _content_length(value: str) -> int | None:
@@ -94,6 +100,28 @@ class QueryResponse:
         }
 
 
+@dataclass(frozen=True)
+class PendingMiss:
+    """A query the cache could not answer, with what the back half needs to
+    generate its answer."""
+
+    start: float  # perf_counter() when the front half began
+    text: str
+    classified: ClassifiedQuery
+    category: str
+    features: QueryFeatures
+
+
+class _Generation:
+    """One engine call that identical misses in flight share."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.followers = 0  # requests waiting on this call besides its own
+        self.result: tuple[str, float] | None = None  # (answer, delay_s)
+        self.error: BaseException | None = None
+
+
 class MedService:
     """The serving pipeline with a pluggable generation backend."""
 
@@ -109,8 +137,8 @@ class MedService:
         self._metrics_lock = threading.Lock()
         self.request_count = 0
         self.category_counts: dict[str, int] = {}
-        self.engine_id = ""
-        self.mode = ""
+        self.engine_id = select_engine(config.engines, config.hardware, config.workload)
+        self.mode = decide_mode(config.mode_candidates, config.decision_weights)
         # Execution plans are opaque tokens keyed by padded prompt shape;
         # warm-up shapes come from config, new shapes extend the cache.
         self.plans = PlanCache()
@@ -119,18 +147,13 @@ class MedService:
              for seq, batch in config.runtime.warmup_shapes),
             self._build_plan,
         )
-        self.reload_decisions()
+        # query text -> the generation in flight for it
+        self._generations: dict[str, _Generation] = {}
+        self._generations_lock = threading.Lock()
 
     @staticmethod
     def _build_plan(key):
         return f"plan:{key.seq_len}x{key.batch}"
-
-    def reload_decisions(self):
-        """Re-run engine selection and the deployment-mode decision."""
-        self.engine_id = select_engine(
-            self.config.engines, self.config.hardware, self.config.workload
-        )
-        self.mode = decide_mode(self.config.mode_candidates, self.config.decision_weights)
 
     def _generate(self, prompt: str, category: str) -> tuple[str, float]:
         remote = self.config.remote_engine
@@ -146,7 +169,16 @@ class MedService:
         return self.config.mock_engine.generate(prompt, category)
 
     def handle_query(self, text: str) -> QueryResponse:
-        """classify -> prompt -> cache lookup -> generate on miss -> insert."""
+        """classify -> cache lookup -> on a miss, prompt -> generate -> insert."""
+        answered = self.lookup_query(text)
+        if isinstance(answered, PendingMiss):
+            return self.generate_answer(answered)
+        return answered
+
+    def lookup_query(self, text: str) -> QueryResponse | PendingMiss:
+        """The front half of handle_query, which never calls the engine:
+        validate, classify, count and look up. Returns the cache's answer,
+        or the pending miss for generate_answer."""
         start = time.perf_counter()
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("request text must be a non-empty string")
@@ -159,18 +191,53 @@ class MedService:
 
         features = QueryFeatures(text, classified.tokens)
         hit = self.cache.lookup(text, features)
-        if hit is not None:
-            answer, tier, delay_s = hit.response, hit.tier, 0.0
+        if hit is None:
+            return PendingMiss(start, text, classified, category, features)
+        return self._response(start, hit.response, category, hit.tier, 0.0)
+
+    def generate_answer(self, miss: PendingMiss) -> QueryResponse:
+        """The back half of handle_query: build the prompt, get the plan,
+        generate and insert. Identical misses in flight share one generation;
+        the others get its answer, or its EngineFailure."""
+        with self._generations_lock:
+            generation = self._generations.get(miss.text)
+            leading = generation is None
+            if leading:
+                generation = self._generations[miss.text] = _Generation()
+            else:
+                generation.followers += 1
+        if leading:
+            try:
+                generation.result = self._generate_and_insert(miss)
+            except BaseException as exc:
+                generation.error = exc
+                raise
+            finally:
+                with self._generations_lock:
+                    del self._generations[miss.text]
+                generation.done.set()
         else:
-            prompt = build_prompt(classified, self.templates)
-            prompt_tokens = prompt_token_count(classified, self.templates)
-            key = shape_bucket(max(prompt_tokens, 1), 1, self.config.runtime.plan_bucket)
-            self.plans.get_or_build(key, self._build_plan)
-            answer, delay_s = self._generate(prompt, category)
-            tier = "miss"
-            # Insert only after a successful generation so backend failures
-            # cannot poison the cache.
-            self.cache.insert(text, answer, category, features)
+            generation.done.wait()
+            error = generation.error
+            if error is not None:
+                shared = EngineFailure if isinstance(error, EngineFailure) else RuntimeError
+                raise shared(str(error)) from error
+        answer, delay_s = generation.result
+        return self._response(miss.start, answer, miss.category, "miss", delay_s)
+
+    def _generate_and_insert(self, miss: PendingMiss) -> tuple[str, float]:
+        prompt = build_prompt(miss.classified, self.templates)
+        prompt_tokens = prompt_token_count(miss.classified, self.templates)
+        key = shape_bucket(max(prompt_tokens, 1), 1, self.config.runtime.plan_bucket)
+        self.plans.get_or_build(key, self._build_plan)
+        answer, delay_s = self._generate(prompt, miss.category)
+        # Insert only after a successful generation so backend failures
+        # cannot poison the cache.
+        self.cache.insert(miss.text, answer, miss.category, miss.features)
+        return answer, delay_s
+
+    def _response(self, start: float, answer: str, category: str, tier: str,
+                  delay_s: float) -> QueryResponse:
         return QueryResponse(
             answer=answer,
             category=category,
@@ -367,19 +434,29 @@ class _Arrival:
 
 
 class PooledHTTPServer:
-    """An HTTP server that reads each request in full on the accept thread,
-    then answers it on one of POOL_WORKERS threads started with the server.
+    """An HTTP server that reads each request in full on its intake thread,
+    answers there every request that needs no engine, and hands only cache
+    misses to one of POOL_WORKERS threads started with the server.
 
     serve_forever() accepts connections and receives their requests through
     one selector; at most INTAKE_SLOTS connections may be arriving, each
-    for at most `timeout` seconds from its accept, and a connection cut off
-    by that deadline is handed on to get its 408. A received request waits
-    for a worker in a queue; at most POOL_WORKERS + QUEUE_SLOTS are queued
-    or in a worker's hands at once. No worker ever waits on a client's
-    input, so idle or trickling clients cannot hold the pool. A connection
-    that finds the intake or the queue full is answered 503 and closed
-    without blocking. server_close() closes the connections still arriving
-    or queued and stops the workers once they finish the requests in hand.
+    for at most `timeout` seconds from its accept. Once a request is in, its
+    head refused, its input ended or its deadline passed, the intake thread
+    answers it, running the front half of the query
+    (MedService.lookup_query) for a POST to /v1/query, and sends every
+    answer that needs no engine with one non-blocking send: refused heads,
+    400, 404, 408, 413, /healthz, /v1/metrics and cache hits. A pending miss
+    waits for a worker in a queue; at most POOL_WORKERS + QUEUE_SLOTS are
+    queued or in a worker's hands at once. The worker runs the back half
+    (MedService.generate_answer) and answers 200, 502 or 500 in one write.
+    An answer that the socket does not take whole in that one send also
+    goes to a worker, which sends the rest, or is cut off by closing the
+    connection when the queue is full. No thread ever waits on a
+    client's input, and hits never wait on engine calls. A miss that finds
+    the queue full, or a connection that finds the intake full, is answered
+    503 and closed without blocking. server_close() closes the connections
+    still arriving or queued and stops the workers once they finish the
+    requests in hand.
     """
 
     timeout = 10.0  # seconds from accept for a request to arrive; also the send timeout
@@ -392,9 +469,10 @@ class PooledHTTPServer:
         self._selector = selectors.DefaultSelector()
         # in accept order, so in deadline order; touched by serve_forever only
         self._arriving: dict[socket.socket, _Arrival] = {}
+        # (arrival, its PendingMiss or the bytes of its answer left to send)
         self._ready: queue.SimpleQueue = queue.SimpleQueue()
-        # one per request queued or in a worker's hands: the queue length
-        # alone would count requests that idle workers have yet to take
+        # one per job queued or in a worker's hands: the queue length alone
+        # would count jobs that idle workers have yet to take
         self._slots = threading.BoundedSemaphore(POOL_WORKERS + QUEUE_SLOTS)
         self._stop = False
         self._stopped = threading.Event()
@@ -406,8 +484,8 @@ class PooledHTTPServer:
             worker.start()
 
     def serve_forever(self, poll_interval=0.5):
-        """Accept and receive requests until shutdown(), which it checks every
-        poll_interval seconds."""
+        """Accept, receive and answer requests until shutdown(), which it
+        checks every poll_interval seconds."""
         self._stopped.clear()
         self._selector.register(self._listener, selectors.EVENT_READ)
         try:
@@ -417,6 +495,7 @@ class PooledHTTPServer:
                         self._accept()
                     elif self._receive(key.data):
                         self._leave_intake(key.data)
+                        self._dispatch(key.data)
                 self._expire()
         finally:
             self._selector.unregister(self._listener)
@@ -445,24 +524,23 @@ class PooledHTTPServer:
         sock.setblocking(False)
         arrival = _Arrival(sock, time.monotonic() + self.timeout)
         # the request has often come by the time its connection is accepted
-        if not self._receive(arrival):
+        if self._receive(arrival):
+            self._dispatch(arrival)
+        else:
             self._selector.register(sock, selectors.EVENT_READ, arrival)
             self._arriving[sock] = arrival
 
-    def _receive(self, arrival: _Arrival) -> bool:
-        """Read what has come; True once the connection is handed on or closed."""
+    @staticmethod
+    def _receive(arrival: _Arrival) -> bool:
+        """Read what has come; True once there is nothing more to wait for."""
         try:
             data = arrival.sock.recv(_RECV_BYTES)
         except BlockingIOError:
             return False
         except OSError:
-            _close(arrival.sock)
-            return True
-        # at end of input the worker answers what came
-        if data and not arrival.take(data):
-            return False
-        self._hand_over(arrival)
-        return True
+            return True  # the connection failed: what came is all there is
+        # at end of input the answer is to what came
+        return not data or arrival.take(data)
 
     def _expire(self):
         now = time.monotonic()
@@ -472,17 +550,46 @@ class PooledHTTPServer:
                 return
             self._leave_intake(arrival)
             arrival.cut_off = True
-            self._hand_over(arrival)
+            self._dispatch(arrival)
 
     def _leave_intake(self, arrival: _Arrival):
         self._selector.unregister(arrival.sock)
         del self._arriving[arrival.sock]
 
-    def _hand_over(self, arrival: _Arrival):
-        if self._slots.acquire(blocking=False):
-            self._ready.put(arrival)
-        else:
-            self._refuse(arrival.sock)
+    def _dispatch(self, arrival: _Arrival):
+        """Answer a request that has left the intake, or queue its miss for a
+        worker. Nothing it meets leaves serve_forever."""
+        try:
+            answer = self._answer(arrival)
+            if isinstance(answer, PendingMiss):
+                if not self._queue(arrival, answer):
+                    self._refuse(arrival.sock)
+                return
+            if answer is not None:
+                rest = self._send_now(arrival.sock, self._encode(arrival, answer))
+                if rest and self._queue(arrival, rest):
+                    return  # a worker sends the rest
+        except Exception:
+            log.exception("error answering a request")
+        _close(arrival.sock)
+
+    @staticmethod
+    def _send_now(sock: socket.socket, data: bytes) -> bytes:
+        """Send without blocking; returns what the socket did not take, which
+        is nothing once the client has gone."""
+        try:
+            return data[sock.send(data):]
+        except BlockingIOError:
+            return data
+        except OSError:
+            return b""  # the client went away; nothing to deliver
+
+    def _queue(self, arrival: _Arrival, job: PendingMiss | bytes) -> bool:
+        """Hand a job to the workers; False when the queue is full."""
+        if not self._slots.acquire(blocking=False):
+            return False
+        self._ready.put((arrival, job))
+        return True
 
     def _refuse(self, sock: socket.socket):
         """Send a 503 without blocking and close. Best effort: the answer is
@@ -497,32 +604,46 @@ class PooledHTTPServer:
         _close(sock)
 
     def _work(self):
-        while (arrival := self._ready.get()) is not None:
+        while (job := self._ready.get()) is not None:
+            arrival, work = job
             try:
-                self.handle(arrival)
+                if isinstance(work, PendingMiss):
+                    self.handle(arrival, work)
+                else:
+                    self._send_all(arrival.sock, work)
             except Exception:
                 log.exception("error answering a request")
             finally:
                 _close(arrival.sock)
                 self._slots.release()
 
-    def handle(self, arrival: _Arrival):
-        """Answer on the arrival's socket in one write, or not at all when
-        nothing came or the head was still arriving at the deadline (as on a
-        socket timeout)."""
-        answer = self._answer(arrival)
-        if answer is None:
-            return
-        status, payload = answer
-        if arrival.head is not None:
-            log.debug("http: %s %s %d", arrival.head.method, arrival.head.target, status)
+    def handle(self, arrival: _Arrival, miss: PendingMiss | None = None):
+        """Answer on the arrival's socket in one blocking write: generate
+        the answer to its pending miss when given, else answer the request
+        in full. No answer when nothing came or the head was still arriving
+        at the deadline (as on a socket timeout)."""
+        answer = self._answer(arrival) if miss is None else miss
+        if isinstance(answer, PendingMiss):
+            answer = self._generate(answer)
+        if answer is not None:
+            self._send_all(arrival.sock, self._encode(arrival, answer))
+
+    def _send_all(self, sock: socket.socket, data: bytes):
         try:
-            arrival.sock.settimeout(self.timeout)
-            arrival.sock.sendall(_reply(status, payload))
+            sock.settimeout(self.timeout)
+            sock.sendall(data)
         except OSError:
             pass  # the client went away or stopped reading; nothing to deliver
 
-    def _answer(self, arrival: _Arrival) -> tuple[int, dict] | None:
+    @staticmethod
+    def _encode(arrival: _Arrival, answer: tuple[int, dict]) -> bytes:
+        status, payload = answer
+        if arrival.head is not None:
+            log.debug("http: %s %s %d", arrival.head.method, arrival.head.target, status)
+        return _reply(status, payload)
+
+    def _answer(self, arrival: _Arrival) -> tuple[int, dict] | PendingMiss | None:
+        """The answer that needs no engine, or the request's pending miss."""
         if arrival.refused is not None:
             return arrival.refused.status, {"error": str(arrival.refused)}
         head = arrival.head
@@ -548,15 +669,24 @@ class PooledHTTPServer:
             doc = json.loads(body.decode("utf-8"))
             if not isinstance(doc, dict):
                 raise BadRequest("request body must be a JSON object")
-            response = self.service.handle_query(doc.get("text", ""))
+            answered = self.service.lookup_query(doc.get("text", ""))
         except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
             return 400, {"error": str(exc)}
-        except EngineFailure as exc:
-            return 502, {"error": str(exc)}
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             log.exception("unhandled error")
             return 500, {"error": str(exc)}
-        return 200, response.as_dict()
+        if isinstance(answered, PendingMiss):
+            return answered
+        return 200, answered.as_dict()
+
+    def _generate(self, miss: PendingMiss) -> tuple[int, dict]:
+        try:
+            return 200, self.service.generate_answer(miss).as_dict()
+        except EngineFailure as exc:
+            return 502, {"error": str(exc)}
+        except Exception as exc:
+            log.exception("unhandled error")
+            return 500, {"error": str(exc)}
 
     def server_close(self):
         self._listener.close()
@@ -566,7 +696,7 @@ class PooledHTTPServer:
         self._arriving.clear()
         while True:
             try:
-                arrival = self._ready.get_nowait()
+                arrival, _ = self._ready.get_nowait()
             except queue.Empty:
                 break
             _close(arrival.sock)
@@ -593,14 +723,6 @@ def serve_forever(config: ServiceConfig, host: str | None = None,
         raise
     log.info("serving on %s:%d (engine=%s mode=%s)",
              *server.server_address[:2], service.engine_id, service.mode)
-
-    # SIGHUP re-runs engine selection and the mode decision without restart.
-    try:
-        import signal
-
-        signal.signal(signal.SIGHUP, lambda *_: service.reload_decisions())
-    except (ValueError, AttributeError, OSError):
-        pass  # non-main thread or platform without SIGHUP
 
     try:
         server.serve_forever()

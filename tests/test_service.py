@@ -366,6 +366,47 @@ class TestServicePipeline:
         second = run()
         assert first == second
 
+    def test_shared_generations_under_thread_churn(self, config, monkeypatch):
+        import sys
+
+        service = MedService(config)
+        # every thread asks each query in turn, so each is a miss that
+        # several threads share
+        texts = [f"zq{i}x{i * 7919}" for i in range(40)]
+
+        def generate(prompt, category):
+            time.sleep(0.001)  # keep generations in flight long enough to join
+            return "A:" + prompt.rsplit("\n", 1)[-1], 0.0
+
+        monkeypatch.setattr(service, "_generate", generate)
+        wrong = []
+
+        def client():
+            for text in texts:
+                try:
+                    answer = service.handle_query(text).answer
+                except Exception as exc:
+                    answer = repr(exc)
+                if answer != "A:" + text:
+                    wrong.append((text, answer))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert wrong == []
+        assert service._generations == {}
+        assert service.request_count == 8 * len(texts)
+
     def test_engine_failure_does_not_poison_cache(self, config, stub_server):
         import dataclasses
 
@@ -503,6 +544,70 @@ class TestHTTPAPI:
         err.value.close()
         assert err.value.code == 404
 
+    def test_front_half_error_is_500_and_server_stays_up(self, server, monkeypatch):
+        base, service = server
+
+        def failing_lookup(text, features=None):
+            raise RuntimeError("lookup broke")
+
+        monkeypatch.setattr(service.cache, "lookup", failing_lookup)
+        assert self._post(base, {"text": "what is a fever"}) == (500, {"error": "lookup broke"})
+        with urllib.request.urlopen(base + "/healthz", timeout=5) as resp:
+            assert resp.status == 200
+
+    @staticmethod
+    def _stub_engine(service, monkeypatch, text: str, script: list) -> list:
+        """Replace the engine with one that takes (followers, result) from
+        script for each call: it holds the call until that many more
+        requests for text wait on it, then returns result, or raises it if
+        it is an exception. Returns the list of prompts it was called with."""
+        calls = []
+
+        def generate(prompt, category):
+            calls.append(prompt)
+            followers, result = script.pop(0)
+            _wait_until(lambda: service._generations[text].followers == followers)
+            if isinstance(result, Exception):
+                raise result
+            return result, 0.0
+
+        monkeypatch.setattr(service, "_generate", generate)
+        return calls
+
+    @staticmethod
+    def _concurrent_queries(base, text: str, count: int) -> list:
+        host, port = base.removeprefix("http://").split(":")
+        socks = [socket.create_connection((host, int(port)), timeout=5) for _ in range(count)]
+        try:
+            for sock in socks:
+                sock.sendall(_request_bytes(text))
+            return [_read_reply(sock) for sock in socks]
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_identical_misses_share_one_generation(self, server, monkeypatch):
+        base, service = server
+        text = "what is the dose of insulin"
+        calls = self._stub_engine(service, monkeypatch, text, [(3, "one answer")])
+        replies = self._concurrent_queries(base, text, 4)
+        assert len(calls) == 1
+        assert [(status, doc["answer"], doc["cache"]) for status, doc in replies] == (
+            [(200, "one answer", "miss")] * 4)
+        assert self._post(base, {"text": text})[1]["cache"] == "memory"
+
+    def test_shared_engine_failure_is_502_for_all_then_retried(self, server, monkeypatch):
+        base, service = server
+        text = "what is the dose of insulin"
+        calls = self._stub_engine(service, monkeypatch, text,
+                                  [(3, EngineFailure("engine down")), (0, "recovered")])
+        assert self._concurrent_queries(base, text, 4) == [(502, {"error": "engine down"})] * 4
+        assert len(calls) == 1
+        # the failure cached nothing, so the next request calls the engine again
+        status, doc = self._post(base, {"text": text})
+        assert (status, doc["answer"], doc["cache"]) == (200, "recovered", "miss")
+        assert len(calls) == 2
+
     def test_busy_port_names_the_bind_error(self, config):
         service = MedService(config)
         busy = socket.create_server(("127.0.0.1", 0))
@@ -557,8 +662,8 @@ def _read_reply(sock) -> tuple[int, dict]:
 
 class TestWorkerPool:
     """The pool shrunk to 2 workers, a queue of 1 and an intake of 4, against
-    clients that send nothing, trickle their request or hold a worker in
-    handle_query until released."""
+    clients that send nothing, trickle their request or hold a worker in the
+    engine call (a miss whose text starts "hold") until released."""
 
     @pytest.fixture()
     def pool(self, config, monkeypatch):
@@ -568,15 +673,16 @@ class TestWorkerPool:
         service = MedService(config)
         release = threading.Event()
         held = []
-        handle_query = service.handle_query
+        generate = service._generate
 
-        def holding_handle_query(text):
+        def holding_generate(prompt, category):
+            text = prompt.rsplit("\n", 1)[-1]  # the prompt ends with the query
             if text.startswith("hold"):
                 held.append(text)
                 release.wait(timeout=10)
-            return handle_query(text)
+            return generate(prompt, category)
 
-        service.handle_query = holding_handle_query
+        service._generate = holding_generate
         httpd = make_server(service, "127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -625,6 +731,18 @@ class TestWorkerPool:
         httpd, connect, held = pool
         connect(_request_bytes("hold 1"))
         _wait_until(lambda: len(held) == 1)
+        self._healthz_fast(httpd)
+
+    def test_hit_and_healthz_pass_held_workers(self, pool):
+        httpd, connect, held = pool
+        assert _read_reply(connect(_request_bytes("what is a fever")))[1]["cache"] == "miss"
+        connect(_request_bytes("hold 1"))
+        connect(_request_bytes("hold 2"))
+        _wait_until(lambda: len(held) == 2)
+        start = time.monotonic()
+        status, doc = _read_reply(connect(_request_bytes("what is a fever")))
+        assert (status, doc["cache"]) == (200, "memory")
+        assert time.monotonic() - start < 1.0
         self._healthz_fast(httpd)
 
     def test_full_queue_answers_503_fast(self, pool):
@@ -869,6 +987,33 @@ class TestRawHeads:
             assert len(sock.writes) == 1
             assert _read_reply(client_end)[0] == status
             assert sock.writes[0].startswith(b"HTTP/1.0 %d " % status)
+        finally:
+            client_end.close()
+            httpd.server_close()
+            service.close()
+
+    def test_short_send_finished_by_a_worker(self, config):
+        class ShortSend:
+            """A socket whose send takes at most 10 bytes."""
+
+            def __init__(self, sock):
+                self.sock = sock
+
+            def send(self, data):
+                return self.sock.send(data[:10])
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        service = MedService(config)
+        httpd = make_server(service, "127.0.0.1", 0)
+        server_end, client_end = socket.socketpair()
+        try:
+            arrival = service_module._Arrival(ShortSend(server_end), time.monotonic() + 5)
+            arrival.take(b"GET /healthz HTTP/1.0\r\n\r\n")
+            httpd._dispatch(arrival)
+            client_end.settimeout(5)
+            assert _read_reply(client_end) == (200, {"status": "ok"})
         finally:
             client_end.close()
             httpd.server_close()
