@@ -117,7 +117,6 @@ class _Generation:
 
     def __init__(self):
         self.done = threading.Event()
-        self.followers = 0  # requests waiting on this call besides its own
         self.result: tuple[str, float] | None = None  # (answer, delay_s)
         self.error: BaseException | None = None
 
@@ -204,8 +203,6 @@ class MedService:
             leading = generation is None
             if leading:
                 generation = self._generations[miss.text] = _Generation()
-            else:
-                generation.followers += 1
         if leading:
             try:
                 generation.result = self._generate_and_insert(miss)
@@ -608,25 +605,13 @@ class PooledHTTPServer:
             arrival, work = job
             try:
                 if isinstance(work, PendingMiss):
-                    self.handle(arrival, work)
-                else:
-                    self._send_all(arrival.sock, work)
+                    work = self._encode(arrival, self._generate(work))
+                self._send_all(arrival.sock, work)
             except Exception:
                 log.exception("error answering a request")
             finally:
                 _close(arrival.sock)
                 self._slots.release()
-
-    def handle(self, arrival: _Arrival, miss: PendingMiss | None = None):
-        """Answer on the arrival's socket in one blocking write: generate
-        the answer to its pending miss when given, else answer the request
-        in full. No answer when nothing came or the head was still arriving
-        at the deadline (as on a socket timeout)."""
-        answer = self._answer(arrival) if miss is None else miss
-        if isinstance(answer, PendingMiss):
-            answer = self._generate(answer)
-        if answer is not None:
-            self._send_all(arrival.sock, self._encode(arrival, answer))
 
     def _send_all(self, sock: socket.socket, data: bytes):
         try:

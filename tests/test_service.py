@@ -563,14 +563,34 @@ class TestHTTPAPI:
         it is an exception. Returns the list of prompts it was called with."""
         calls = []
 
+        class CountedEvent(threading.Event):
+            """An Event that counts the calls to wait(); a request that waits
+            on a generation has joined it."""
+
+            def __init__(self):
+                super().__init__()
+                self.waiters = 0
+                self._count_lock = threading.Lock()
+
+            def wait(self, timeout=None):
+                with self._count_lock:
+                    self.waiters += 1
+                return super().wait(timeout)
+
+        class CountedGeneration(service_module._Generation):
+            def __init__(self):
+                super().__init__()
+                self.done = CountedEvent()
+
         def generate(prompt, category):
             calls.append(prompt)
             followers, result = script.pop(0)
-            _wait_until(lambda: service._generations[text].followers == followers)
+            _wait_until(lambda: service._generations[text].done.waiters == followers)
             if isinstance(result, Exception):
                 raise result
             return result, 0.0
 
+        monkeypatch.setattr(service_module, "_Generation", CountedGeneration)
         monkeypatch.setattr(service, "_generate", generate)
         return calls
 
@@ -712,8 +732,15 @@ class TestWorkerPool:
             assert resp.status == 200
         assert time.monotonic() - start < 1.0
 
+    @staticmethod
+    def _miss_fast(connect, text):
+        start = time.monotonic()
+        status, doc = _read_reply(connect(_request_bytes(text)))
+        assert (status, doc["cache"]) == (200, "miss")
+        assert time.monotonic() - start < 1.0
+
     def test_idle_and_trickling_clients_hold_no_worker(self, pool):
-        httpd, connect, _ = pool
+        httpd, connect, held = pool
         connect()
         connect()
         request = _request_bytes("what is a fever")
@@ -724,6 +751,10 @@ class TestWorkerPool:
             trickler.sendall(request[k:k + 1])
         self._healthz_fast(httpd)
         assert httpd._ready.qsize() == 0
+        # with one worker held, the other is still free for a miss
+        connect(_request_bytes("hold 1"))
+        _wait_until(lambda: len(held) == 1)
+        self._miss_fast(connect, "what is a cough")
         trickler.sendall(request[13:])
         assert _read_reply(trickler)[0] == 200
 
@@ -732,6 +763,7 @@ class TestWorkerPool:
         connect(_request_bytes("hold 1"))
         _wait_until(lambda: len(held) == 1)
         self._healthz_fast(httpd)
+        self._miss_fast(connect, "what is a cough")
 
     def test_hit_and_healthz_pass_held_workers(self, pool):
         httpd, connect, held = pool
@@ -899,14 +931,19 @@ RAW_HEADS = [
 
 
 class _WriteCounter:
-    """A socket that records each sendall and refuses every other write."""
+    """A socket that records each send and sendall by name, and refuses
+    every other write."""
 
     def __init__(self, sock):
         self.sock = sock
         self.writes = []
 
+    def send(self, data):
+        self.writes.append(("send", bytes(data)))
+        return self.sock.send(data)
+
     def sendall(self, data):
-        self.writes.append(bytes(data))
+        self.writes.append(("sendall", bytes(data)))
         self.sock.sendall(data)
 
     def __getattr__(self, name):
@@ -974,19 +1011,43 @@ class TestRawHeads:
         (b"DELETE /v1/query HTTP/1.0\r\n\r\n", False, 501),
     ])
     def test_answer_is_one_sendall(self, config, raw, cut_off, status):
+        # the request as the intake leaves it: an engine-free answer goes out
+        # in one non-blocking send, a miss (the 200) in a worker's one sendall
         service = MedService(config)
         httpd = make_server(service, "127.0.0.1", 0)
         server_end, client_end = socket.socketpair()
         try:
+            server_end.setblocking(False)
+            client_end.settimeout(5)
             sock = _WriteCounter(server_end)
             arrival = service_module._Arrival(sock, time.monotonic() + 5)
             arrival.take(raw)
             arrival.cut_off = cut_off
-            httpd.handle(arrival)
-            server_end.close()
-            assert len(sock.writes) == 1
+            httpd._dispatch(arrival)
             assert _read_reply(client_end)[0] == status
-            assert sock.writes[0].startswith(b"HTTP/1.0 %d " % status)
+            assert [call for call, _ in sock.writes] == (
+                ["sendall"] if status == 200 else ["send"])
+            assert sock.writes[0][1].startswith(b"HTTP/1.0 %d " % status)
+        finally:
+            client_end.close()
+            httpd.server_close()
+            service.close()
+
+    def test_hit_is_one_send(self, config):
+        service = MedService(config)
+        service.handle_query(json.loads(_QUERY)["text"])
+        httpd = make_server(service, "127.0.0.1", 0)
+        server_end, client_end = socket.socketpair()
+        try:
+            server_end.setblocking(False)
+            client_end.settimeout(5)
+            sock = _WriteCounter(server_end)
+            arrival = service_module._Arrival(sock, time.monotonic() + 5)
+            arrival.take(_post_head(_CL))
+            httpd._dispatch(arrival)
+            status, doc = _read_reply(client_end)
+            assert (status, doc["cache"]) == (200, "memory")
+            assert [call for call, _ in sock.writes] == ["send"]
         finally:
             client_end.close()
             httpd.server_close()
