@@ -2,10 +2,11 @@
 
 The exact solver runs depth-first branch-and-bound over assignments,
 pruning on memory, on a transfer-aware lower bound and on memoized state
-dominance. A greedy fallback walks layers in order taking the device with
-the best affinity (a per-layer ranking by compute speed) that still has
-room. The latency model sums one step per layer in layer order, compute plus
-a transfer where the device changes; the exact solver minimizes that sum.
+dominance. A greedy fallback walks layers in order, giving each the first
+device with room in its affinity order (a per-layer ranking by compute
+speed, lowest device index first among equals). The latency model sums one
+step per layer in layer order, compute plus a transfer where the device
+changes; the exact solver minimizes that sum.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def build_affinity(layers, devices) -> np.ndarray:
     layers = _ordered(layers)
     if not layers or not devices:
         raise ValueError("need at least one layer and one device")
-    times = np.array([
-        [layer.flops / dev.throughput_flops for dev in devices] for layer in layers
-    ])
+    # one broadcast division: the same IEEE quotient as flops / throughput
+    times = (np.array([layer.flops for layer in layers], dtype=np.float64)[:, None]
+             / np.array([dev.throughput_flops for dev in devices], dtype=np.float64))
     slowest = times.max(axis=1, keepdims=True)
     spread = slowest - times.min(axis=1, keepdims=True)
     return np.divide(slowest - times, spread, out=np.ones_like(times), where=spread > 0)
@@ -218,15 +219,20 @@ def _solve_exact(layers, devices) -> list[int] | None:
 
 
 def _solve_greedy(layers, devices, affinity) -> list[int] | None:
+    """Each layer in order takes the first device with room in its affinity
+    order: highest affinity first, lowest device index among equals."""
     assign = []
     remaining = [d.memory_bytes for d in devices]
-    for i, layer in enumerate(layers):
-        candidates = [d for d in range(len(devices)) if layer.weight_bytes <= remaining[d]]
-        if not candidates:
+    preferences = np.argsort(-affinity, axis=1, kind="stable").tolist()
+    for layer, order in zip(layers, preferences):
+        w = layer.weight_bytes
+        for d in order:
+            if w <= remaining[d]:
+                break
+        else:
             return None
-        best = min(candidates, key=lambda d: (-affinity[i][d], d))
-        assign.append(best)
-        remaining[best] -= layer.weight_bytes
+        assign.append(d)
+        remaining[d] -= w
     return assign
 
 

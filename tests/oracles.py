@@ -7,7 +7,8 @@ loops, packed NF4 bytes split nibble by nibble, and attention from the
 direct definition. The cache oracle keeps the earlier two-dict cache logic
 over the library's similarity math and log, the classifier oracle counts
 keyword matches one category at a time, and the placement oracles are
-exhaustive enumeration and the earlier branch-and-bound solver.
+exhaustive enumeration, the earlier greedy loop and the earlier
+branch-and-bound solver.
 """
 
 import math
@@ -198,6 +199,25 @@ def row_affinity(times) -> np.ndarray:
         if spread[i] > 0:
             out[i] = (times[i].max() - times[i]) / spread[i]
     return out
+
+
+def greedy_placement(layers, devices) -> list[int] | None:
+    """The earlier greedy solver: each layer in order takes, among the
+    devices with room left, the one with the highest affinity, lowest index
+    on ties; None when some layer fits nowhere. Affinity is row_affinity of
+    the per-element compute times. Layers in order, devices in id order."""
+    times = np.array([[l.flops / d.throughput_flops for d in devices] for l in layers])
+    affinity = row_affinity(times)
+    assign = []
+    remaining = [d.memory_bytes for d in devices]
+    for i, layer in enumerate(layers):
+        candidates = [d for d in range(len(devices)) if layer.weight_bytes <= remaining[d]]
+        if not candidates:
+            return None
+        best = min(candidates, key=lambda d: (-affinity[i][d], d))
+        assign.append(best)
+        remaining[best] -= layer.weight_bytes
+    return assign
 
 
 def branch_and_bound_placement(layers, devices) -> list[int] | None:

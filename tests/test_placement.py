@@ -18,7 +18,12 @@ from medserve.placement import (
     solve_placement,
 )
 from medserve.quantizer import PrecisionPolicy, apply_policy, load_manifest
-from oracles import branch_and_bound_placement, brute_force_placement, row_affinity
+from oracles import (
+    branch_and_bound_placement,
+    brute_force_placement,
+    greedy_placement,
+    row_affinity,
+)
 
 
 def device(idx, memory=10**9, throughput=1e9, bandwidth=1e8):
@@ -207,6 +212,67 @@ class TestSolver:
         plan = solve_placement(layers, devices)
         assert plan.mode == "greedy"
         assert plan.feasible
+
+def greedy_instance(data):
+    """Up to 12 layers on 1-4 devices. Shared throughputs tie affinities,
+    zero-memory devices and zero-byte layers test the room check at its
+    edge, and small memories fill devices part-way through the layers."""
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 12))
+    speeds = st.one_of(st.sampled_from([1e9, 3e9]), st.floats(5e8, 5e9))
+    layers = [
+        LayerProfile(id=f"l{i}", order=i,
+                     flops=data.draw(st.one_of(st.sampled_from([0.0, 1e9]), st.floats(0.0, 5e9))),
+                     weight_bytes=data.draw(st.integers(0, 4)), activation_bytes=10**4)
+        for i in range(n)
+    ]
+    devices = [
+        DeviceSpec(id=f"d{j}", memory_bytes=data.draw(st.integers(0, 14)),
+                   throughput_flops=data.draw(speeds), bandwidth_bytes=1e8)
+        for j in range(m)
+    ]
+    return layers, devices
+
+
+class TestGreedySolver:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_greedy_oracle(self, data):
+        layers, devices = greedy_instance(data)
+        plan = solve_placement(layers, devices, mode="greedy")
+        reference = greedy_placement(layers, devices)
+        if reference is None:
+            assert not plan.feasible and plan.assignment == {}
+        else:
+            assert plan.feasible and plan.mode == "greedy"
+            assert plan.assignment == {
+                layers[i].id: devices[d].id for i, d in enumerate(reference)
+            }
+            assert plan.latency == estimate_latency(reference, layers, devices)
+
+    @pytest.mark.parametrize("memories,speeds,weights,want", [
+        # equal throughput: every affinity is 1.0, so the lowest id with room
+        ([2, 2, 2], [1e9, 1e9, 1e9], [1, 1, 1, 1, 1], "00112"),
+        # the fastest device holds nothing; a zero-byte layer still fits it
+        ([0, 9], [4e9, 1e9], [1, 0, 2], "101"),
+        # the fast device fills part-way through and the rest spill over
+        ([3, 10], [4e9, 1e9], [1, 1, 1, 1, 1], "00011"),
+        # the first layer's greedy choice strands the last, though l0 on d1,
+        # l1 on d0 and l2 on d1 would fit: no plan
+        ([2, 3], [4e9, 1e9], [1, 2, 2], None),
+    ])
+    def test_hand_cases(self, memories, speeds, weights, want):
+        layers = [layer(i, weight=w) for i, w in enumerate(weights)]
+        devices = [device(j, memory=mem, throughput=speed)
+                   for j, (mem, speed) in enumerate(zip(memories, speeds))]
+        plan = solve_placement(layers, devices, mode="greedy")
+        reference = greedy_placement(layers, devices)
+        if want is None:
+            assert reference is None and not plan.feasible
+        else:
+            assert "".join(map(str, reference)) == want
+            assert plan.assignment == {f"l{i}": f"d{d}" for i, d in enumerate(map(int, want))}
+
 
 def window_7b(start, count):
     """A window of the packaged 7B manifest on two devices holding 0.62 of

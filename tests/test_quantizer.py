@@ -208,6 +208,25 @@ class TestBlockQuantization:
         with pytest.raises(ValueError, match="block size"):
             quantize_tensor(np.ones(3), "nf4", block_size)
 
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    @pytest.mark.parametrize("values,dtype", [
+        pytest.param(np.array([1.0 + 2.0j, 3.0j]), "complex128", id="complex"),
+        pytest.param(np.array(["1.5", "2"]), "<U3", id="text"),
+        pytest.param(np.array([1.0, None]), "object", id="object"),
+    ])
+    def test_non_real_dtype_rejected(self, kind, values, dtype):
+        with pytest.raises(ValueError, match=f"dtype {dtype}"):
+            quantize_tensor(values, kind)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64])
+    def test_bool_and_integer_quantized_as_float64(self, dtype):
+        x = np.array([3, 0, 1, 2, 7], dtype=dtype)
+        for kind in ("nf4", "int8"):
+            ours = quantize_tensor(x, kind, 2)
+            want = quantize_tensor(x.astype(np.float64), kind, 2)
+            assert ours.data == want.data
+            assert ours.scales.tobytes() == want.scales.tobytes()
+
     def test_absmax_beyond_float32_rejected(self):
         with pytest.raises(ValueError, match="float32"):
             quantize_tensor(np.array([1e39]), "int8")
@@ -447,6 +466,66 @@ class TestKernelEdgeCases:
         levels = nf4_levels()[unpack_nf4(qt.data, count)]
         want = levels * np.repeat(scales.astype(np.float64), 64)[:count]
         assert dequantize(qt).tobytes() == want.tobytes()
+
+
+SOURCE_DTYPES = [np.float16, np.float32, np.float64, ">f4", np.longdouble]
+
+
+def _width_case(dtype):
+    """Blocks of 4 in dtype: subnormals with a -0.0, an all-zero block, an
+    all -0.0 block, ordinary values, then a partial last block. Subnormals
+    are the dtype's own, or float64's for longdouble, so every value is
+    exact in float64."""
+    finfo = np.finfo(dtype if np.dtype(dtype).itemsize <= 8 else np.float64)
+    tiny = float(finfo.smallest_subnormal)
+    values = [tiny, -3 * tiny, -0.0, 5 * tiny,
+              0.0, 0.0, 0.0, 0.0,
+              -0.0, -0.0, -0.0, -0.0,
+              0.75, -1.5, 0.1, -0.0,
+              1e4, -2.0]
+    return np.array(values, dtype=dtype)
+
+
+class TestSourceWidths:
+    """The absmax is read at the source's own width for native float16/32/64
+    and from the float64 tile otherwise; codes and scales must not differ."""
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    @pytest.mark.parametrize("block_size", [4, 3])
+    def test_blocks_match_oracles(self, dtype, block_size):
+        _assert_blocks_match_oracles(_width_case(dtype), block_size)
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    @pytest.mark.parametrize("value", [-0.0, 2.5, -6e-8])
+    def test_one_element(self, dtype, value):
+        _assert_blocks_match_oracles(np.array([value], dtype=dtype), 64)
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    def test_same_bytes_as_float64_across_tiles(self, dtype, kind):
+        x = np.random.default_rng(19).standard_normal(_TILE_VALUES + 100).astype(dtype)
+        x[64:128] = 0.0
+        ours = quantize_tensor(x, kind)
+        want = quantize_tensor(x.astype(np.float64), kind)
+        assert ours.data == want.data
+        assert ours.scales.tobytes() == want.scales.tobytes()
+
+    def test_strided_source(self):
+        x = np.random.default_rng(20).standard_normal(2 * 1000, dtype=np.float32)[::2]
+        for kind in ("nf4", "int8"):
+            ours = quantize_tensor(x, kind, 48)
+            want = quantize_tensor(np.ascontiguousarray(x, dtype=np.float64), kind, 48)
+            assert ours.data == want.data
+            assert ours.scales.tobytes() == want.scales.tobytes()
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    @pytest.mark.parametrize("kind", ["nf4", "int8"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -math.nan])
+    def test_non_finite_rejected(self, dtype, kind, value):
+        x = np.full(2 * _TILE_VALUES + 5, -2.0, dtype=dtype)
+        x[_TILE_VALUES + 7] = value
+        with pytest.raises(ValueError, match="tensor contains non-finite values"):
+            quantize_tensor(x, kind)
 
 
 class TestTensorRoundTrip:
@@ -736,6 +815,41 @@ class TestCheckpointContainer:
             write_checkpoint(path, manifest, policy, weights)
         assert path.read_bytes() == b"old bytes"
         assert [p.name for p in tmp_path.iterdir()] == ["model.msq"]
+
+    @pytest.mark.parametrize("name", ["attn", "head"])  # 8-bit, then 16-bit
+    @pytest.mark.parametrize("bad,dtype", [
+        pytest.param(lambda w: w + 1j, "complex128", id="complex"),
+        pytest.param(lambda w: w.astype(str), "<U", id="text"),
+    ])
+    def test_non_real_weights_rejected(self, tmp_path, name, bad, dtype):
+        path = tmp_path / "model.msq"
+        path.write_bytes(b"old bytes")
+        manifest, policy, weights = self._pinned_case()
+        weights[name] = bad(weights[name])
+        with pytest.raises(ValueError, match=f"{name}: .*dtype {dtype}"):
+            write_checkpoint(path, manifest, policy, weights)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.msq"]
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    def test_source_width_writes_float64_bytes(self, tmp_path, dtype):
+        manifest, policy, weights = self._pinned_case()
+        weights = {k: v.astype(dtype) for k, v in weights.items()}
+        ours, want = tmp_path / "ours.msq", tmp_path / "want.msq"
+        write_checkpoint(ours, manifest, policy, weights)
+        write_checkpoint(want, manifest, policy,
+                         {k: v.astype(np.float64) for k, v in weights.items()})
+        assert ours.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_at_every_width(self, tmp_path, dtype, value):
+        manifest, policy, weights = self._pinned_case()
+        weights = {k: v.astype(dtype) for k, v in weights.items()}
+        weights["ffn"].reshape(-1)[50] = value
+        with pytest.raises(ValueError, match="tensor contains non-finite values"):
+            write_checkpoint(tmp_path / "model.msq", manifest, policy, weights)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_first_write_leaves_no_file(self, tmp_path):
         manifest, policy, weights = self._pinned_case()
