@@ -141,23 +141,25 @@ def _cmd_place(args) -> int:
     from .placement import DeviceSpec, LayerProfile, solve_placement
     from .quantizer import read_json_records
 
-    layers_doc = read_json_records(
-        args.layers, ("id", "order", "flops", "weight_bytes", "activation_bytes"))
-    devices_doc = read_json_records(
-        args.devices, ("id", "memory_bytes", "throughput_flops", "bandwidth_bytes"))
+    layers_doc = read_json_records(args.layers, {
+        "id": object, "order": int, "flops": float, "weight_bytes": int,
+        "activation_bytes": int,
+    })
+    devices_doc = read_json_records(args.devices, {
+        "id": object, "memory_bytes": int, "throughput_flops": float,
+        "bandwidth_bytes": float,
+    })
     layers = [
         LayerProfile(
-            id=str(l["id"]), order=int(l["order"]), flops=float(l["flops"]),
-            weight_bytes=int(l["weight_bytes"]),
-            activation_bytes=int(l["activation_bytes"]),
+            id=str(l["id"]), order=l["order"], flops=l["flops"],
+            weight_bytes=l["weight_bytes"], activation_bytes=l["activation_bytes"],
         )
         for l in layers_doc
     ]
     devices = [
         DeviceSpec(
-            id=str(d["id"]), memory_bytes=int(d["memory_bytes"]),
-            throughput_flops=float(d["throughput_flops"]),
-            bandwidth_bytes=float(d["bandwidth_bytes"]),
+            id=str(d["id"]), memory_bytes=d["memory_bytes"],
+            throughput_flops=d["throughput_flops"], bandwidth_bytes=d["bandwidth_bytes"],
         )
         for d in devices_doc
     ]

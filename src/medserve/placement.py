@@ -110,6 +110,14 @@ def _step_cost(layers, devices, i: int, p: int, d: int) -> float:
     return cost
 
 
+def _path_latency(assignment: list[int], layers, devices) -> float:
+    """Each layer's _step_cost, summed in layer order; layers are ordered."""
+    total = 0.0
+    for i, d in enumerate(assignment):
+        total += _step_cost(layers, devices, i, assignment[i - 1] if i else d, d)
+    return total
+
+
 def estimate_latency(assignment: list[int], layers, devices) -> float:
     """Seconds per token: each layer's _step_cost, summed in layer order.
 
@@ -118,33 +126,34 @@ def estimate_latency(assignment: list[int], layers, devices) -> float:
     layers = _ordered(layers)
     if len(assignment) != len(layers):
         raise ValueError("assignment must cover every layer")
-    total = 0.0
-    for i, d in enumerate(assignment):
-        total += _step_cost(layers, devices, i, assignment[i - 1] if i else d, d)
-    return total
+    return _path_latency(assignment, layers, devices)
 
 
-def _plan(assignment: list[int] | None, layers, devices, mode: str) -> PlacementPlan:
-    if assignment is None:
+def _plan(solution: tuple[list[int], float] | None, layers, devices,
+          mode: str) -> PlacementPlan:
+    """The plan of a solver's (assignment, latency), or an infeasible one;
+    layers are ordered."""
+    if solution is None:
         return PlacementPlan(
             assignment={}, feasible=False, latency=math.inf,
             memory_per_device={d.id: 0 for d in devices}, mode=mode,
         )
-    layers = _ordered(layers)
+    assignment, latency = solution
     usage = {d.id: 0 for d in devices}
-    for i, layer in enumerate(layers):
-        usage[devices[assignment[i]].id] += layer.weight_bytes
+    for layer, d in zip(layers, assignment):
+        usage[devices[d].id] += layer.weight_bytes
     return PlacementPlan(
-        assignment={layers[i].id: devices[assignment[i]].id for i in range(len(layers))},
+        assignment={layer.id: devices[d].id for layer, d in zip(layers, assignment)},
         feasible=True,
-        latency=estimate_latency(assignment, layers, devices),
+        latency=latency,
         memory_per_device=usage,
         mode=mode,
     )
 
 
-def _solve_exact(layers, devices) -> list[int] | None:
-    """Exact branch-and-bound over per-layer device choices.
+def _solve_exact(layers, devices) -> tuple[list[int], float] | None:
+    """Exact branch-and-bound over per-layer device choices; returns the
+    best assignment and its cost, or None when nothing fits.
 
     A path's cost is the forward sum of its _step_cost steps, which is
     estimate_latency of the path to the bit. Two rules prune:
@@ -215,12 +224,14 @@ def _solve_exact(layers, devices) -> list[int] | None:
                 best_cost, best_assign = child, list(assign)
                 cutoff = best_cost * (1 + 1e-12)
         remaining[d] += w
-    return best_assign
+    return None if best_assign is None else (best_assign, best_cost)
 
 
-def _solve_greedy(layers, devices, affinity) -> list[int] | None:
+def _solve_greedy(layers, devices, affinity) -> tuple[list[int], float] | None:
     """Each layer in order takes the first device with room in its affinity
-    order: highest affinity first, lowest device index among equals."""
+    order: highest affinity first, lowest device index among equals.
+    Returns the assignment and its latency, or None when a layer fits
+    nowhere."""
     assign = []
     remaining = [d.memory_bytes for d in devices]
     preferences = np.argsort(-affinity, axis=1, kind="stable").tolist()
@@ -233,7 +244,7 @@ def _solve_greedy(layers, devices, affinity) -> list[int] | None:
             return None
         assign.append(d)
         remaining[d] -= w
-    return assign
+    return assign, _path_latency(assign, layers, devices)
 
 
 def solve_placement(layers, devices, mode: str = "auto") -> PlacementPlan:
@@ -242,7 +253,8 @@ def solve_placement(layers, devices, mode: str = "auto") -> PlacementPlan:
     mode "auto" runs the exact solver on desk-scale instances (at most
     EXACT_MAX_LAYERS layers or EXACT_MAX_DEVICES devices) and greedy
     otherwise. Infeasible instances yield a plan with feasible=False, never
-    a silent partial assignment.
+    a silent partial assignment. The layers are ordered and checked here
+    once; every private step after this takes them in order.
     """
     layers = _ordered(layers)
     # Index order follows id order so index tie-breaks realize the
@@ -267,5 +279,6 @@ def solve_placement(layers, devices, mode: str = "auto") -> PlacementPlan:
         )
     if mode == "exact":
         return _plan(_solve_exact(layers, devices), layers, devices, "exact")
+    # build_affinity orders and checks the layers again: it is public
     affinity = build_affinity(layers, devices)
     return _plan(_solve_greedy(layers, devices, affinity), layers, devices, "greedy")

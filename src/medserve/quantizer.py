@@ -26,15 +26,22 @@ the float64 cast to the codes. Every block is still scaled, divided and
 coded with the same float64 operations as the whole array would be, so
 tiling changes no byte.
 
+Normalization: every entry point (quantize_tensor, write_checkpoint,
+quant_error_report) takes weights through _as_float, which yields a
+native-order float16, float32 or float64 array. Native arrays of those
+dtypes pass as they are, never copied, so a float32 layer mapped from a
+file is read in place. Only two kinds of float input are copied whole: one
+in another byte order (such as >f4), at its own width, and longdouble, as
+float64; bool and integer arrays become float64 too. Complex, text and
+object arrays are refused.
+
 Kernels: a block's absmax is the largest sign-cleared bit pattern of its
-values read as integers of their own width (int16, int32 or int64 for a
-native float16, float32 or float64 source), because non-negative IEEE
-floats order as their bit patterns do, inf above every finite value and NaN
-above inf. It is read from the source slice, not from the tile's float64
-copy, so a float32 tensor is scanned as 4-byte words; a source with no such
-view (longdouble, or a byte order other than the machine's) is read from
-the float64 tile as int64 instead. Either way the absmax is the same value,
-since float64 holds every narrower float exactly. Codes are uint8 and each
+values read as integers of their own width (int16, int32 or int64 for
+float16, float32 or float64), because non-negative IEEE floats order as
+their bit patterns do, inf above every finite value and NaN above inf. It
+is read from the source slice, not from the tile's float64 copy, so a
+float32 tensor is scanned as 4-byte words; the value is the same, since
+float64 holds every narrower float exactly. Codes are uint8 and each
 threshold's compare mask is added in as uint8. Packing reads each code pair
 as one little-endian uint16. Decoding gathers both values of a byte at once
 from a 256-entry table of level pairs viewed as complex128.
@@ -53,6 +60,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -228,13 +236,31 @@ def pack_nf4(codes: np.ndarray) -> bytes:
 
 
 def _as_float(values) -> np.ndarray:
-    """values as an array of its own float dtype, or of float64 for bool and
-    integer arrays. Any other dtype (complex, text, object, ...) raises
-    ValueError, since casting it would drop or invent values."""
+    """values as a native-order float16, float32 or float64 array: a native
+    one as it is, another byte order copied at its own width, and bool,
+    integer and longdouble arrays copied as float64. Any other dtype
+    (complex, text, object, ...) raises ValueError, since casting it would
+    drop or invent values."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"weights must be real numbers; got dtype {arr.dtype}")
-    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+    if arr.dtype.kind == "f" and arr.dtype.itemsize in (2, 4, 8):
+        return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
+    return arr.astype(np.float64)
+
+
+def _layer_weight(weights: Mapping[str, np.ndarray], name: str, params: int) -> np.ndarray:
+    """weights[name] through _as_float, holding the manifest's params values;
+    every error names the layer."""
+    if name not in weights:
+        raise ValueError(f"{name}: no weight given for this layer")
+    try:
+        w = _as_float(weights[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if w.size != params:
+        raise ValueError(f"{name}: weight size {w.size} != manifest {params}")
+    return w
 
 
 def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedTensor:
@@ -243,7 +269,7 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
     The flat tensor is cut into (nblocks, block_size) rows, the last one
     zero-padded; the padding leaves its absmax unchanged and its codes are
     dropped. Rows are processed a tile at a time in float64, whatever the
-    input's float dtype, so no float64 copy of the whole tensor is made.
+    input's float dtype, so a native float tensor is never widened whole.
     """
     arr = _as_float(values)
     if arr.size == 0:
@@ -256,10 +282,8 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
     n = flat.size
     nblocks = -(-n // block_size)
     rows = min(nblocks, max(1, _TILE_VALUES // block_size))
-    # absmax width: the source's own, unless it has no same-width integer view
-    native = flat.dtype.isnative and flat.dtype.itemsize in (2, 4, 8)
-    width = flat.dtype if native else np.dtype(np.float64)
-    as_bits = np.dtype(f"i{width.itemsize}")
+    # absmax is read at the source's own width, as same-width integers
+    as_bits = np.dtype(f"i{flat.dtype.itemsize}")
     sign_clear = as_bits.type(np.iinfo(as_bits).max)
     tile = np.empty((rows, block_size))
     magnitudes = np.empty(rows * block_size, dtype=as_bits)
@@ -276,10 +300,9 @@ def quantize_tensor(values, kind: str, block_size: int = DEFAULT_BLOCK_SIZE) -> 
         padded[:count] = source
         padded[count:] = 0.0
         bits = magnitudes[:blocks.size]
-        np.bitwise_and((source if native else padded[:count]).view(as_bits), sign_clear,
-                       out=bits[:count])
+        np.bitwise_and(source.view(as_bits), sign_clear, out=bits[:count])
         bits[count:] = 0  # the bits of +0.0
-        absmax = bits.reshape(blocks.shape).max(axis=1).view(width)  # NaN and inf survive
+        absmax = bits.reshape(blocks.shape).max(axis=1).view(flat.dtype)  # NaN and inf survive
         if not np.all(np.isfinite(absmax)):
             raise ValueError("tensor contains non-finite values")
         absmax = absmax.astype(np.float64)
@@ -398,9 +421,7 @@ def quant_error_report(weights: dict[str, np.ndarray], manifest: ModelManifest,
     plan = apply_policy(manifest, policy)
     rows = []
     for layer_plan in plan.layers:
-        if layer_plan.name not in weights:
-            raise ValueError(f"{layer_plan.name}: no weight given for this layer")
-        w = np.asarray(weights[layer_plan.name], dtype=np.float64)
+        w = _layer_weight(weights, layer_plan.name, layer_plan.params)
         if layer_plan.bits == 16:
             mse = 0.0
         else:
@@ -433,8 +454,29 @@ def synthetic_7b_manifest(blocks: int = 32, hidden: int = 4096,
     return ModelManifest(tuple(layers))
 
 
-def read_json_records(path, keys) -> list[dict]:
-    """A JSON file holding a list of objects, each with every key in keys.
+def _json_typed(value, kind):
+    """value as a JSON value of kind: int takes a JSON integer only (not an
+    integral float such as 8e9), float any JSON number (returned as a
+    float), list[int] a list of JSON integers and object any value. Bools
+    and numeric strings are neither integers nor numbers. Raises ValueError
+    saying what value was refused."""
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a JSON list")
+        return [_json_typed(item, *get_args(kind)) for item in value]
+    if kind is object or (kind is int and type(value) is int):
+        return value
+    if kind is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{value!r} is beyond the float range") from None
+    raise ValueError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+
+
+def read_json_records(path, fields) -> list[dict]:
+    """A JSON file holding a list of objects, each with every key in fields,
+    whose value has the type fields gives it (see _json_typed).
 
     Raises ValueError naming the file, and the entry index and key at fault.
     """
@@ -444,21 +486,25 @@ def read_json_records(path, keys) -> list[dict]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ValueError(f"{path}: entry {i} is not a JSON object")
-        for key in keys:
+        for key, kind in fields.items():
             if key not in item:
                 raise ValueError(f"{path}: entry {i} has no {key!r}")
+            try:
+                item[key] = _json_typed(item[key], kind)
+            except ValueError as exc:
+                raise ValueError(f"{path}: entry {i} {key!r}: {exc}") from None
     return raw
 
 
 def load_manifest(path) -> ModelManifest:
     """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
-    raw = read_json_records(path, ("name", "class", "shape"))
+    raw = read_json_records(path, {"name": object, "class": object, "shape": list[int]})
     layers = []
     for item in raw:
         layers.append(LayerSpec(
             name=item["name"],
             layer_class=LayerClass(item["class"]),
-            shape=tuple(int(d) for d in item["shape"]),
+            shape=tuple(item["shape"]),
         ))
     return ModelManifest(tuple(layers))
 
@@ -510,14 +556,7 @@ def write_checkpoint(path, manifest: ModelManifest, policy: PrecisionPolicy,
 
 def _write_layer(fh, spec: LayerSpec, bits: int, block_size: int,
                  weights: dict[str, np.ndarray]) -> None:
-    if spec.name not in weights:
-        raise ValueError(f"{spec.name}: no weight given for this layer")
-    try:
-        w = _as_float(weights[spec.name])
-    except ValueError as exc:
-        raise ValueError(f"{spec.name}: {exc}") from None
-    if w.size != spec.params:
-        raise ValueError(f"{spec.name}: weight size {w.size} != manifest {spec.params}")
+    w = _layer_weight(weights, spec.name, spec.params)
     if bits == 16:
         # NaN fails the compare too; float16 would store inf or NaN.
         if not np.all(np.abs(w) <= F16_MAX):

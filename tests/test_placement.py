@@ -123,6 +123,14 @@ class TestLatencyModel:
         relabeled = estimate_latency([1, 0, 1], layers, swapped)
         assert direct == pytest.approx(relabeled)
 
+    def test_no_layers_cost_nothing(self):
+        assert estimate_latency([], [], [device(0)]) == 0.0
+
+    @pytest.mark.parametrize("assignment", [[0], [0, 0, 0]])
+    def test_wrong_length_assignment_rejected(self, assignment):
+        with pytest.raises(ValueError, match="assignment must cover every layer"):
+            estimate_latency(assignment, [layer(0), layer(1)], [device(0)])
+
 
 class TestSolver:
     def test_single_device_takes_everything(self):
@@ -474,6 +482,108 @@ class TestExactSolver:
         assert doc["feasible"] and doc["mode"] == "exact"
         assert len(doc["assignment"]) == 40
         assert elapsed < 1.0
+
+
+def assignment_indices(plan, layers, devices):
+    """plan.assignment as estimate_latency takes it: per layer in order, the
+    index of its device in devices as given."""
+    index = {d.id: j for j, d in enumerate(devices)}
+    return [index[plan.assignment[l.id]] for l in sorted(layers, key=lambda l: l.order)]
+
+
+class TestInputOrder:
+    """solve_placement orders the layers itself and ranks devices by id, so
+    the order of either list must not matter, and a plan's latency is
+    estimate_latency of its own assignment."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([near_tie_instance, greedy_instance]),
+           st.sampled_from(["exact", "greedy", "auto"]))
+    def test_shuffled_lists_give_the_same_plan(self, data, instance, mode):
+        layers, devices = instance(data)
+        shuffled_layers = data.draw(st.permutations(layers))
+        shuffled_devices = data.draw(st.permutations(devices))
+        plan = solve_placement(layers, devices, mode=mode)
+        shuffled = solve_placement(shuffled_layers, shuffled_devices, mode=mode)
+        assert shuffled.feasible == plan.feasible and shuffled.mode == plan.mode
+        assert shuffled.assignment == plan.assignment
+        assert shuffled.latency.hex() == plan.latency.hex()
+        assert shuffled.memory_per_device == plan.memory_per_device
+        if plan.feasible:
+            assert list(shuffled.assignment) == [l.id for l in layers]
+            indices = assignment_indices(shuffled, shuffled_layers, shuffled_devices)
+            assert estimate_latency(indices, shuffled_layers, shuffled_devices) == plan.latency
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_7b_window_latency_is_estimate_of_assignment(self, mode):
+        layers, devices = window_7b(1 + 7 * 5, 24)
+        plan = solve_placement(layers[::-1], devices[::-1], mode=mode)
+        assert plan.feasible and list(plan.assignment) == [l.id for l in layers]
+        indices = assignment_indices(plan, layers, devices)
+        assert plan.latency == estimate_latency(indices, layers, devices)
+
+
+class TestPlaceInputTypes:
+    """medserve place takes integer fields as JSON integers and float fields
+    as JSON numbers; anything else exits 3 naming the file, entry and key."""
+
+    def run(self, tmp_path, layers, devices):
+        lpath, dpath = tmp_path / "layers.json", tmp_path / "devices.json"
+        lpath.write_text(json.dumps(layers))
+        dpath.write_text(json.dumps(devices))
+        return cli_main(["place", "--layers", str(lpath), "--devices", str(dpath), "--json"])
+
+    @pytest.mark.parametrize("doc,key,value,why", [
+        ("layers", "order", 1.7, "1.7 is not a JSON integer"),
+        ("layers", "weight_bytes", 10.9, "10.9 is not a JSON integer"),
+        ("layers", "weight_bytes", True, "True is not a JSON integer"),
+        ("layers", "activation_bytes", "8", "'8' is not a JSON integer"),
+        ("layers", "activation_bytes", 8e9, "8000000000.0 is not a JSON integer"),
+        ("layers", "flops", "1e9", "'1e9' is not a JSON number"),
+        ("layers", "flops", False, "False is not a JSON number"),
+        ("devices", "memory_bytes", 11.99, "11.99 is not a JSON integer"),
+        ("devices", "throughput_flops", True, "True is not a JSON number"),
+        ("devices", "bandwidth_bytes", None, "None is not a JSON number"),
+    ])
+    def test_mistyped_field_exits_three(self, tmp_path, capsys, doc, key, value, why):
+        docs = {"layers": [vars(layer(0, weight=4)), vars(layer(1, weight=4))],
+                "devices": [vars(device(0, memory=12))]}
+        docs[doc][1 if doc == "layers" else 0][key] = value
+        assert self.run(tmp_path, docs["layers"], docs["devices"]) == 3
+        entry = 1 if doc == "layers" else 0
+        assert f"{doc}.json: entry {entry} {key!r}: " in (err := capsys.readouterr().err)
+        assert why in err
+
+    def test_flops_beyond_float_range_exits_three(self, tmp_path, capsys):
+        layers = [vars(layer(0))]
+        layers[0]["flops"] = 10**400
+        assert self.run(tmp_path, layers, [vars(device(0))]) == 3
+        assert "entry 0 'flops': 1000" in (err := capsys.readouterr().err)
+        assert err.rstrip().endswith("is beyond the float range")
+
+    def test_truncated_fields_get_no_plan(self, tmp_path, capsys):
+        # cast with int(), these were 10 + 1 weight bytes on an 11-byte
+        # device: a feasible plan
+        layers = [{"id": "l0", "order": 0, "flops": 1e9, "weight_bytes": 10.9,
+                   "activation_bytes": 8},
+                  {"id": "l1", "order": 1.7, "flops": 1e9, "weight_bytes": True,
+                   "activation_bytes": "8"}]
+        devices = [{"id": "d0", "memory_bytes": 11.99, "throughput_flops": 1e9,
+                    "bandwidth_bytes": 1e8}]
+        assert self.run(tmp_path, layers, devices) == 3
+        assert "entry 0 'weight_bytes': 10.9 is not a JSON integer" in capsys.readouterr().err
+
+    def test_integer_rates_and_flops_are_numbers(self, tmp_path, capsys):
+        layers = [vars(layer(i)) for i in range(3)]
+        devices = [vars(device(j, throughput=(j + 1) * 1e9)) for j in range(2)]
+        assert self.run(tmp_path, layers, devices) == 0
+        as_floats = capsys.readouterr().out
+        for doc in layers + devices:
+            for key in ("flops", "throughput_flops", "bandwidth_bytes"):
+                if key in doc:
+                    doc[key] = int(doc[key])
+        assert self.run(tmp_path, layers, devices) == 0
+        assert capsys.readouterr().out == as_floats
 
 
 class TestProfileValidation:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from medserve.quantizer import (
     _NF4_THRESHOLDS,
+    _as_float,
     _TILE_VALUES,
     CHECKPOINT_MAGIC,
     NF4_LEVELS,
@@ -487,8 +488,9 @@ def _width_case(dtype):
 
 
 class TestSourceWidths:
-    """The absmax is read at the source's own width for native float16/32/64
-    and from the float64 tile otherwise; codes and scales must not differ."""
+    """The absmax is read at the width _as_float gives the source: its own
+    for float16/32/64 in either byte order, float64 for longdouble; codes
+    and scales must not differ from the float64 input's."""
 
     @pytest.mark.parametrize("dtype", SOURCE_DTYPES)
     @pytest.mark.parametrize("block_size", [4, 3])
@@ -716,6 +718,60 @@ class TestErrorReport:
         manifest = ModelManifest((LayerSpec("o", LayerClass.OUTPUT, (2, 2)),))
         with pytest.raises(ValueError, match="o: no weight"):
             quant_error_report({}, manifest, PrecisionPolicy())
+
+    @pytest.mark.parametrize("bad,match", [
+        pytest.param(lambda w: w + 1j, "dtype complex128", id="complex"),
+        pytest.param(lambda w: w.astype(str), "dtype <U", id="text"),
+        pytest.param(lambda w: w[:3], "weight size 3 != manifest 4", id="size"),
+    ])
+    def test_refuses_what_write_checkpoint_refuses(self, bad, match):
+        manifest = ModelManifest((LayerSpec("attn", LayerClass.ATTENTION, (2, 2)),))
+        weights = {"attn": bad(np.array([0.5, -1.5, 2.0, 0.25]))}
+        with pytest.raises(ValueError, match=f"attn: .*{match}"):
+            quant_error_report(weights, manifest, PrecisionPolicy())
+
+    def test_float32_rows_equal_float64_rows(self):
+        manifest = ModelManifest((
+            LayerSpec("attn", LayerClass.ATTENTION, (8, 16)),
+            LayerSpec("ffn", LayerClass.FEEDFORWARD, (16, 8)),
+            LayerSpec("embed", LayerClass.EMBEDDING, (5, 13)),
+            LayerSpec("out", LayerClass.OUTPUT, (8, 16)),
+        ))
+        rng = np.random.default_rng(21)
+        weights = {l.name: rng.standard_normal(l.shape, dtype=np.float32) * 0.02
+                   for l in manifest.layers}
+        wide = {name: w.astype(np.float64) for name, w in weights.items()}
+        rows = quant_error_report(weights, manifest, PrecisionPolicy())
+        want = quant_error_report(wide, manifest, PrecisionPolicy())
+        assert [(n, b, m.hex()) for n, b, m in rows] == [(n, b, m.hex()) for n, b, m in want]
+        assert all(mse > 0 for _, _, mse in rows)
+
+
+class TestAsFloat:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_native_float_passed_as_is(self, dtype):
+        x = np.arange(12, dtype=dtype).reshape(3, 4)[:, ::2]
+        assert _as_float(x) is x
+
+    def test_mapped_layer_not_copied(self, tmp_path):
+        # the float32 layer views medserve quantize makes of a mapped file
+        path = tmp_path / "weights.bin"
+        np.arange(40, dtype="<f4").tofile(path)
+        raw = np.memmap(path, dtype="<f4", mode="r")
+        layer = raw[8:32].reshape(4, 6)
+        assert np.shares_memory(_as_float(layer), raw)
+
+    def test_other_byte_order_copied_at_its_width(self):
+        x = np.array([1.5, -0.0, 3e-45], dtype=">f4")
+        got = _as_float(x)
+        assert got.dtype == np.float32 and got.dtype.isnative
+        assert got.tobytes() == x.astype("=f4").tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, bool, np.int8, np.uint64])
+    def test_longdouble_bool_and_integer_become_float64(self, dtype):
+        x = np.array([1, 0, 1], dtype=dtype)
+        got = _as_float(x)
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 0.0, 1.0]
 
 
 class TestCheckpointContainer:
@@ -1005,6 +1061,22 @@ class TestCheckpointContainer:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("shape,match", [
+        ([2.9, "3"], "entry 1 'shape': 2.9 is not a JSON integer"),
+        ([4, "3"], "entry 1 'shape': '3' is not a JSON integer"),
+        ([4, True], "entry 1 'shape': True is not a JSON integer"),
+        ([4, 8e9], "entry 1 'shape': 8000000000.0 is not a JSON integer"),
+        (12, "entry 1 'shape': 12 is not a JSON list"),
+    ])
+    def test_manifest_shape_takes_json_integers_only(self, tmp_path, shape, match):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([
+            {"name": "a", "class": "attention", "shape": [4, 4]},
+            {"name": "b", "class": "feedforward", "shape": shape},
+        ]))
+        with pytest.raises(ValueError, match=f"manifest.json: {match}"):
+            load_manifest(path)
 
     def test_manifest_json_loader(self, tmp_path):
         doc = [
