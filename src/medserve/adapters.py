@@ -5,9 +5,11 @@ alpha/rank, is the weight increment applied on top of a frozen base matrix.
 The stabilized-SVD update rebuilds that increment from its truncated
 singular decomposition plus a condition-number-adaptive ridge term, which
 keeps the increment numerically tame when the factor product is poorly
-conditioned.
+conditioned. It takes one SVD of the product: the kept triplets and the
+condition number both come from it.
 
-All matrices are 2-D float64 numpy arrays; operations are pure.
+All matrices are 2-D float64 numpy arrays; operations are pure. The JSON
+adapter container is read with every field type-checked, never cast.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .quantizer import _json_fields
 
 # Relative singular-value cutoff: components below sigma_max * EPS_TRUNC are
 # treated as numerically insignificant and dropped from the reconstruction.
@@ -57,8 +61,8 @@ class LoraAdapter:
         object.__setattr__(self, "a", a)
         if self.rank <= 0:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if b.shape[1] != self.rank or a.shape[0] != self.rank:
             raise DimensionError(
                 f"factor shapes {b.shape} x {a.shape} inconsistent with rank {self.rank}"
@@ -93,30 +97,40 @@ class StableSvdConfig:
             raise ValueError("kappa_max must be > 1")
 
 
-def lora_forward(w0, adapter: LoraAdapter, x) -> np.ndarray:
-    """h = W0 @ x + (alpha/rank) * B @ (A @ x), without forming B @ A."""
-    w0 = _as_matrix(w0, "W0")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"x must be a vector, got shape {x.shape}")
-    d, k = w0.shape
-    if adapter.b.shape[0] != d or adapter.a.shape[1] != k:
-        raise DimensionError(
-            f"adapter {adapter.b.shape[0]}x{adapter.a.shape[1]} does not fit W0 {w0.shape}"
-        )
-    if x.shape[0] != k:
-        raise DimensionError(f"x length {x.shape[0]} != W0 cols {k}")
-    return w0 @ x + adapter.scaling * (adapter.b @ (adapter.a @ x))
-
-
-def merge_adapter(w0, adapter: LoraAdapter) -> np.ndarray:
-    """W_merged = W0 + (alpha/rank) * B @ A."""
+def _fitted(w0, adapter: LoraAdapter) -> np.ndarray:
+    """W0 as a matrix, checked to have the adapter's d x k shape."""
     w0 = _as_matrix(w0, "W0")
     if adapter.b.shape[0] != w0.shape[0] or adapter.a.shape[1] != w0.shape[1]:
         raise DimensionError(
             f"adapter {adapter.b.shape[0]}x{adapter.a.shape[1]} does not fit W0 {w0.shape}"
         )
-    return w0 + adapter.delta()
+    return w0
+
+
+def lora_forward(w0, adapter: LoraAdapter, x) -> np.ndarray:
+    """h = W0 @ x + (alpha/rank) * B @ (A @ x), without forming B @ A."""
+    w0 = _fitted(w0, adapter)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError(f"x must be a vector, got shape {x.shape}")
+    if x.shape[0] != w0.shape[1]:
+        raise DimensionError(f"x length {x.shape[0]} != W0 cols {w0.shape[1]}")
+    return w0 @ x + adapter.scaling * (adapter.b @ (adapter.a @ x))
+
+
+def merge_adapter(w0, adapter: LoraAdapter) -> np.ndarray:
+    """W_merged = W0 + (alpha/rank) * B @ A."""
+    return _fitted(w0, adapter) + adapter.delta()
+
+
+def _kappa(sigma: np.ndarray) -> float:
+    """sigma_max / sigma_min over the nonzero entries of a descending
+    singular-value vector; +inf when there are none or the smallest
+    underflows SIGMA_FLOOR."""
+    nonzero = sigma[sigma > 0.0]
+    if nonzero.size == 0 or nonzero[-1] < SIGMA_FLOOR:
+        return math.inf
+    return float(nonzero[0] / nonzero[-1])
 
 
 def condition_number(m) -> float:
@@ -125,21 +139,10 @@ def condition_number(m) -> float:
     Returns +inf when the smallest nonzero singular value underflows the
     float64 floor. The zero matrix is rejected.
     """
-    m = _as_matrix(m, "M")
-    sigma = np.linalg.svd(m, compute_uv=False)
-    nonzero = sigma[sigma > 0.0]
-    if nonzero.size == 0:
+    sigma = np.linalg.svd(_as_matrix(m, "M"), compute_uv=False)
+    if not sigma.any():
         raise ValueError("condition number of the zero matrix is undefined")
-    smallest = nonzero[-1]
-    if smallest < SIGMA_FLOOR:
-        return math.inf
-    return float(nonzero[0] / smallest)
-
-
-def _rect_identity(d: int, k: int) -> np.ndarray:
-    out = np.zeros((d, k))
-    np.fill_diagonal(out, 1.0)
-    return out
+    return _kappa(sigma)
 
 
 def stable_svd_update(b, a, cfg: StableSvdConfig) -> np.ndarray:
@@ -147,8 +150,9 @@ def stable_svd_update(b, a, cfg: StableSvdConfig) -> np.ndarray:
 
     Keeps the top cfg.rank singular triplets, discards components below
     sigma_max * EPS_TRUNC, and adds lambda * I where
-    lambda = lambda0 * min(kappa(BA), kappa_max) / kappa_max. For
-    rectangular products the identity has ones on the main diagonal.
+    lambda = lambda0 * min(kappa(BA), kappa_max) / kappa_max, with kappa
+    taken from the same SVD (+inf for the zero product). For rectangular
+    products the identity has ones on the main diagonal.
     """
     b = _as_matrix(b, "B")
     a = _as_matrix(a, "A")
@@ -160,22 +164,12 @@ def stable_svd_update(b, a, cfg: StableSvdConfig) -> np.ndarray:
         raise DimensionError(f"rank {cfg.rank} exceeds min dim of {d}x{k} product")
 
     u, sigma, vt = np.linalg.svd(product, full_matrices=False)
-    keep = min(cfg.rank, sigma.size)
-    cutoff = sigma[0] * EPS_TRUNC if sigma.size else 0.0
-    kept = [i for i in range(keep) if sigma[i] > cutoff]
-    delta = np.zeros((d, k))
-    for i in kept:
-        delta += sigma[i] * np.outer(u[:, i], vt[i, :])
-
-    lam = 0.0
+    # sigma is descending, so the kept triplets are a prefix of the top rank.
+    r = int(np.count_nonzero(sigma[:cfg.rank] > sigma[0] * EPS_TRUNC))
+    delta = (u[:, :r] * sigma[:r]) @ vt[:r]
     if cfg.lambda0 > 0:
-        try:
-            kappa = condition_number(product)
-        except ValueError:
-            kappa = math.inf
-        lam = cfg.lambda0 * min(kappa, cfg.kappa_max) / cfg.kappa_max
-    if lam != 0.0:
-        delta += lam * _rect_identity(d, k)
+        lam = cfg.lambda0 * min(_kappa(sigma), cfg.kappa_max) / cfg.kappa_max
+        delta += lam * np.eye(d, k)
     return delta
 
 
@@ -193,23 +187,36 @@ def save_adapter(adapter: LoraAdapter, path) -> None:
         "k": adapter.a.shape[1],
         "rank": adapter.rank,
         "alpha": adapter.alpha,
-        "b": [[float(v) for v in row] for row in adapter.b],
-        "a": [[float(v) for v in row] for row in adapter.a],
+        "b": adapter.b.tolist(),
+        "a": adapter.a.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
 def load_adapter(path) -> LoraAdapter:
+    """Read an adapter container; every field is type-checked, not cast.
+
+    Raises ValueError naming the file, and the key at fault.
+    """
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: adapter container must be a JSON object")
     if payload.get("format") != ADAPTER_FORMAT:
         raise ValueError(f"{path}: unrecognized adapter container format")
-    adapter = LoraAdapter(
-        b=np.array(payload["b"], dtype=np.float64),
-        a=np.array(payload["a"], dtype=np.float64),
-        rank=int(payload["rank"]),
-        alpha=float(payload["alpha"]),
-    )
+    _json_fields(payload, {
+        "d": int, "k": int, "rank": int, "alpha": float,
+        "b": list[list[float]], "a": list[list[float]],
+    }, f"{path}: adapter container")
+    try:
+        adapter = LoraAdapter(
+            b=np.array(payload["b"], dtype=np.float64),
+            a=np.array(payload["a"], dtype=np.float64),
+            rank=payload["rank"],
+            alpha=payload["alpha"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if adapter.b.shape != (payload["d"], payload["rank"]):
         raise ValueError(f"{path}: B shape disagrees with header dims")
     if adapter.a.shape != (payload["rank"], payload["k"]):

@@ -3,9 +3,10 @@
 The packaged defaults carry cache, quantization, hardware, workload,
 engine, and deployment-mode settings. Each setting's default is declared
 once, on its dataclass; a key the document leaves out takes it. Unknown
-schema versions, missing required keys and sections that are not JSON
-objects are rejected with the offending key named; unknown keys and
-sections are ignored.
+schema versions, missing required keys, sections that are not JSON
+objects and values of the wrong JSON type are rejected with the offending
+key named; values are type-checked, never cast. Unknown keys and sections
+are ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .cache import SimilarityConfig
 from .engines import MockEngine
-from .quantizer import LayerClass, PrecisionPolicy
+from .quantizer import LayerClass, PrecisionPolicy, _json_typed
 from .runtime import (
     DecisionWeights,
     EngineProfile,
@@ -56,8 +57,10 @@ class RuntimeSettings:
     def __post_init__(self):
         if self.plan_bucket < 1:
             raise ValueError("plan_bucket must be >= 1")
-        if any(min(shape) < 1 for shape in self.warmup_shapes):
-            raise ValueError("warmup_shapes seq_len and batch must be >= 1")
+        shapes = tuple(tuple(shape) for shape in self.warmup_shapes)
+        if any(len(shape) != 2 or min(shape) < 1 for shape in shapes):
+            raise ValueError("warmup_shapes must be [seq_len, batch] pairs, each >= 1")
+        object.__setattr__(self, "warmup_shapes", shapes)
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,18 @@ def default_config_path() -> Path:
     return packaged_data("default_config.json")
 
 
-def _require(doc: dict, key: str):
+def _typed(doc: dict, key: str, kind):
+    """doc[key] checked to be a JSON value of kind (see _json_typed)."""
+    try:
+        return _json_typed(doc[key], kind)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+def _require(doc: dict, key: str, kind=object):
     if key not in doc:
         raise ConfigError(f"missing required config key {key!r}")
-    return doc[key]
+    return _typed(doc, key, kind)
 
 
 def _section(doc: dict, key: str, required: bool = False) -> dict:
@@ -117,42 +128,43 @@ def _section(doc: dict, key: str, required: bool = False) -> dict:
     return section
 
 
-def _given(section: dict, **convert) -> dict:
-    """The converted values of the keys the section gives. Keys it leaves out
-    are not passed on, so they take the defaults their dataclass declares."""
-    return {key: conv(section[key]) for key, conv in convert.items() if key in section}
+def _given(section: dict, **kinds) -> dict:
+    """The type-checked values of the keys the section gives. Keys it leaves
+    out are not passed on, so they take the defaults their dataclass
+    declares."""
+    return {key: _typed(section, key, kind) for key, kind in kinds.items() if key in section}
 
 
 def _parse(doc: dict) -> ServiceConfig:
-    version = _require(doc, "schema_version")
+    version = _require(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}")
 
     try:
         cache_doc = _section(doc, "cache", required=True)
         cache = CacheSettings(
-            capacity=int(_require(cache_doc, "capacity")),
+            capacity=_require(cache_doc, "capacity", int),
             similarity=SimilarityConfig(**_given(cache_doc, alpha=float, tau=float)),
             disk_dir=cache_doc.get("disk_dir"),
         )
 
         quant_doc = _section(doc, "quantization")
-        bits_doc = _section(quant_doc, "bits")
+        bits = _given(_section(quant_doc, "bits"), **{cls.value: int for cls in LayerClass})
         default_bits = PrecisionPolicy().bits
         quantization = PrecisionPolicy(
-            bits={cls: int(bits_doc.get(cls.value, default_bits[cls])) for cls in LayerClass},
+            bits={cls: bits.get(cls.value, default_bits[cls]) for cls in LayerClass},
             **_given(quant_doc, block_size=int),
         )
 
         hw_doc = _section(doc, "hardware", required=True)
         hardware = HardwareEnv(
-            accelerator_memory_bytes=int(_require(hw_doc, "accelerator_memory_bytes")),
+            accelerator_memory_bytes=_require(hw_doc, "accelerator_memory_bytes", int),
         )
 
         wl_doc = _section(doc, "workload", required=True)
         workload = WorkloadProfile(
-            mean_prompt_tokens=float(_require(wl_doc, "mean_prompt_tokens")),
-            mean_output_tokens=float(_require(wl_doc, "mean_output_tokens")),
+            mean_prompt_tokens=_require(wl_doc, "mean_prompt_tokens", float),
+            mean_output_tokens=_require(wl_doc, "mean_output_tokens", float),
         )
 
         engines_doc = _require(doc, "engines")
@@ -160,10 +172,10 @@ def _parse(doc: dict) -> ServiceConfig:
             raise ConfigError("config key 'engines' must be a JSON list of objects")
         engines = tuple(
             EngineProfile(
-                id=str(_require(e, "id")),
-                base_rate_tokens_per_s=float(_require(e, "base_rate_tokens_per_s")),
-                request_overhead_s=float(_require(e, "request_overhead_s")),
-                memory_bytes=int(_require(e, "memory_bytes")),
+                id=_require(e, "id", str),
+                base_rate_tokens_per_s=_require(e, "base_rate_tokens_per_s", float),
+                request_overhead_s=_require(e, "request_overhead_s", float),
+                memory_bytes=_require(e, "memory_bytes", int),
             )
             for e in engines_doc
         )
@@ -175,21 +187,20 @@ def _parse(doc: dict) -> ServiceConfig:
         ))
 
         mc_doc = _section(doc, "mode_candidates", required=True)
-        candidates = tuple(
-            ModeCandidate(
+        candidates = []
+        for mode in ("adapter", "merged"):
+            m_doc = _section(mc_doc, mode, required=True)
+            candidates.append(ModeCandidate(
                 mode=mode,
-                performance=float(_require(_require(mc_doc, mode), "performance")),
-                fit=float(_require(mc_doc[mode], "fit")),
-                cost=float(_require(mc_doc[mode], "cost")),
-            )
-            for mode in ("adapter", "merged")
-        )
+                performance=_require(m_doc, "performance", float),
+                fit=_require(m_doc, "fit", float),
+                cost=_require(m_doc, "cost", float),
+            ))
 
-        paths = {key: Path(doc[key]) for key in ("lexicon_path", "templates_path")
+        paths = {key: Path(_typed(doc, key, str)) for key in ("lexicon_path", "templates_path")
                  if doc.get(key) is not None}
         runtime = RuntimeSettings(**_given(
-            _section(doc, "runtime"), plan_bucket=int,
-            warmup_shapes=lambda pairs: tuple((int(s), int(b)) for s, b in pairs),
+            _section(doc, "runtime"), plan_bucket=int, warmup_shapes=list[list[int]],
         ))
         mock = MockEngine(**_given(_section(doc, "mock_engine"),
                                    seed=int, mean_delay_ms=float))
@@ -197,8 +208,8 @@ def _parse(doc: dict) -> ServiceConfig:
         if doc.get("remote_engine"):
             r = _section(doc, "remote_engine")
             remote = RemoteEngineSettings(
-                endpoint=str(_require(r, "endpoint")),
-                model=str(_require(r, "model")),
+                endpoint=_require(r, "endpoint", str),
+                model=_require(r, "model", str),
                 **_given(r, timeout_s=float, retry_backoff_s=float),
             )
 
@@ -209,7 +220,7 @@ def _parse(doc: dict) -> ServiceConfig:
             workload=workload,
             engines=engines,
             decision_weights=weights,
-            mode_candidates=candidates,
+            mode_candidates=tuple(candidates),
             runtime=runtime,
             mock_engine=mock,
             remote_engine=remote,

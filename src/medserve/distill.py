@@ -5,6 +5,10 @@ Covers the cosine learning-rate schedule, the four-term distillation loss
 entity-probability term that penalizes drift on tagged token groups), a grid
 search over loss weights, and a deterministic progressive-batch training
 loop over small dense teacher/student networks with hand-derived gradients.
+
+The loss and its logits gradient come from one body with four softmaxes
+(student and teacher, at T=1 and at the temperature). The training loop
+runs the frozen teacher once per batch, before its first step.
 """
 
 from __future__ import annotations
@@ -123,6 +127,59 @@ def entity_mass(logits: np.ndarray, entity: Entity) -> float:
     return float(probs[:, list(entity.token_ids)].sum(axis=1).mean())
 
 
+def _loss_and_grad(
+    batch: LogitsBatch,
+    entities: list[Entity],
+    weights: DistillLossWeights,
+    temperature: float,
+) -> tuple[float, tuple[float, float, float, float], np.ndarray]:
+    """(total, (ce, kl, mse, entity), d total / d student logits)."""
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
+    n, v = batch.student_logits.shape
+    rows = np.arange(n)
+    scaled = batch.student_logits / temperature
+    p = _softmax(batch.student_logits)
+    s = _softmax(scaled)
+    q = _softmax(batch.teacher_logits / temperature)
+    p_teacher = _softmax(batch.teacher_logits)
+
+    ce = float(-np.log(np.clip(p[rows, batch.labels], 1e-300, None)).mean())
+
+    log_s = scaled - scaled.max(axis=1, keepdims=True)
+    log_s = log_s - np.log(np.exp(log_s).sum(axis=1, keepdims=True))
+    log_q = np.log(np.clip(q, 1e-300, None))
+    kl = float((q * (log_q - log_s)).sum(axis=1).mean())
+
+    mse = float(((batch.student_hidden - batch.teacher_hidden) ** 2).mean())
+
+    grad = np.zeros((n, v))
+    if weights.ce:
+        onehot = np.zeros((n, v))
+        onehot[rows, batch.labels] = 1.0
+        grad += weights.ce * (p - onehot) / n
+    if weights.kl:
+        grad += weights.kl * (s - q) / (n * temperature)
+
+    ent = 0.0
+    for e in entities:
+        ids = list(e.token_ids)
+        per_row = p[:, ids].sum(axis=1)
+        gap = float(per_row.mean()) - float(p_teacher[:, ids].sum(axis=1).mean())
+        ent += e.weight * abs(gap)
+        if weights.entity:
+            mask = np.zeros(v)
+            mask[ids] = 1.0
+            sign = math.copysign(1.0, gap) if gap != 0.0 else 0.0
+            # d mean_n sum_{v in e} p_nv / d z = p * (mask - per_row) / n
+            grad += weights.entity * e.weight * sign * (
+                p * (mask[None, :] - per_row[:, None]) / n
+            )
+
+    total = weights.ce * ce + weights.kl * kl + weights.mse * mse + weights.entity * ent
+    return total, (ce, kl, mse, float(ent)), grad
+
+
 def distill_loss(
     batch: LogitsBatch,
     entities: list[Entity],
@@ -134,31 +191,8 @@ def distill_loss(
     Returns (total, (ce, kl, mse, entity)) with the components unweighted.
     KL direction is teacher || student at the shared temperature.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    n, v = batch.student_logits.shape
-
-    p_student = _softmax(batch.student_logits)
-    picked = np.clip(p_student[np.arange(n), batch.labels], 1e-300, None)
-    ce = float(-np.log(picked).mean())
-
-    q = _softmax(batch.teacher_logits / temperature)
-    log_s = batch.student_logits / temperature
-    log_s = log_s - log_s.max(axis=1, keepdims=True)
-    log_s = log_s - np.log(np.exp(log_s).sum(axis=1, keepdims=True))
-    log_q = np.log(np.clip(q, 1e-300, None))
-    kl = float((q * (log_q - log_s)).sum(axis=1).mean())
-
-    mse = float(((batch.student_hidden - batch.teacher_hidden) ** 2).mean())
-
-    ent = 0.0
-    for e in entities:
-        ent += e.weight * abs(
-            entity_mass(batch.student_logits, e) - entity_mass(batch.teacher_logits, e)
-        )
-
-    total = weights.ce * ce + weights.kl * kl + weights.mse * mse + weights.entity * ent
-    return total, (ce, kl, mse, float(ent))
+    total, parts, _ = _loss_and_grad(batch, entities, weights, temperature)
+    return total, parts
 
 
 def distill_loss_grad_logits(
@@ -172,33 +206,7 @@ def distill_loss_grad_logits(
     The hidden-MSE term has no logits dependence and contributes nothing
     here; its hidden-state gradient lives in the training loop.
     """
-    n, v = batch.student_logits.shape
-    p = _softmax(batch.student_logits)
-
-    grad = np.zeros((n, v))
-    if weights.ce:
-        onehot = np.zeros((n, v))
-        onehot[np.arange(n), batch.labels] = 1.0
-        grad += weights.ce * (p - onehot) / n
-
-    if weights.kl:
-        q = _softmax(batch.teacher_logits / temperature)
-        s = _softmax(batch.student_logits / temperature)
-        grad += weights.kl * (s - q) / (n * temperature)
-
-    if weights.entity:
-        for e in entities:
-            ids = list(e.token_ids)
-            mask = np.zeros(v)
-            mask[ids] = 1.0
-            per_row = p[:, ids].sum(axis=1)
-            gap = float(per_row.mean()) - entity_mass(batch.teacher_logits, e)
-            sign = math.copysign(1.0, gap) if gap != 0.0 else 0.0
-            # d mean_n sum_{v in e} p_nv / d z = p * (mask - per_row) / n
-            grad += weights.entity * e.weight * sign * (
-                p * (mask[None, :] - per_row[:, None]) / n
-            )
-    return grad
+    return _loss_and_grad(batch, entities, weights, temperature)[2]
 
 
 def grid_search_lambdas(candidates, evaluate) -> DistillLossWeights:
@@ -362,7 +370,13 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
         TrainingSample(features=x[i], target=int(labels_all[i]), complexity=float(entropy[i]))
         for i in range(config.dataset_size)
     ]
-    batches = make_progressive_batches(samples, config.batch_size)
+    # The teacher is frozen, so each batch's teacher outputs are built once.
+    batches = []
+    for batch_samples in make_progressive_batches(samples, config.batch_size):
+        xb = np.stack([s.features for s in batch_samples])
+        t_hidden, t_logits = teacher.forward(xb)
+        labels = np.array([s.target for s in batch_samples])
+        batches.append((xb, labels, t_hidden @ proj.T, t_logits))
 
     entities = [
         Entity(name=f"class-{c}", token_ids=(c,), weight=2.0)
@@ -381,12 +395,7 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
     # non-finite outcome is detected and reported as divergence.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(config.steps):
-            batch_samples = batches[step % len(batches)]
-            xb = np.stack([s.features for s in batch_samples])
-            labels = np.array([s.target for s in batch_samples])
-            t_hidden_raw, t_logits = teacher.forward(xb)
-            t_hidden = t_hidden_raw @ proj.T
-
+            xb, labels, t_hidden, t_logits = batches[step % len(batches)]
             s_hidden, s_logits = student.forward(xb)
             if not (np.all(np.isfinite(s_logits)) and np.all(np.isfinite(s_hidden))):
                 return DistillReport(
@@ -397,7 +406,7 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
                 student_logits=s_logits, teacher_logits=t_logits, labels=labels,
                 student_hidden=s_hidden, teacher_hidden=t_hidden,
             )
-            total, (ce, kl, mse, ent) = distill_loss(
+            total, (ce, kl, mse, ent), g_logits = _loss_and_grad(
                 batch, entities, config.weights, config.temperature
             )
             lr = lr_at(schedule, step)
@@ -409,7 +418,6 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
                     diverged=True, diverged_step=step,
                 )
 
-            g_logits = distill_loss_grad_logits(batch, entities, config.weights, config.temperature)
             g_hidden = g_logits @ student.w2
             g_hidden += config.weights.mse * 2.0 * (s_hidden - t_hidden) / s_hidden.size
             g_pre = g_hidden * (1.0 - s_hidden ** 2)

@@ -457,21 +457,35 @@ def synthetic_7b_manifest(blocks: int = 32, hidden: int = 4096,
 def _json_typed(value, kind):
     """value as a JSON value of kind: int takes a JSON integer only (not an
     integral float such as 8e9), float any JSON number (returned as a
-    float), list[int] a list of JSON integers and object any value. Bools
-    and numeric strings are neither integers nor numbers. Raises ValueError
-    saying what value was refused."""
+    float), str a JSON string, list[kind] a list of values of kind and
+    object any value. Bools and numeric strings are neither integers nor
+    numbers. Raises ValueError saying what value was refused."""
     if get_origin(kind) is list:
         if not isinstance(value, list):
             raise ValueError(f"{value!r} is not a JSON list")
         return [_json_typed(item, *get_args(kind)) for item in value]
-    if kind is object or (kind is int and type(value) is int):
+    if kind is object or (kind in (int, str) and type(value) is kind):
         return value
     if kind is float and type(value) in (int, float):
         try:
             return float(value)
         except OverflowError:
             raise ValueError(f"{value!r} is beyond the float range") from None
-    raise ValueError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    expected = {int: "integer", float: "number", str: "string"}[kind]
+    raise ValueError(f"{value!r} is not a JSON {expected}")
+
+
+def _json_fields(obj: dict, fields, where: str) -> None:
+    """Type each key in fields of the JSON object obj in place (see
+    _json_typed); a missing or refused key raises ValueError prefixed by
+    where."""
+    for key, kind in fields.items():
+        if key not in obj:
+            raise ValueError(f"{where} has no {key!r}")
+        try:
+            obj[key] = _json_typed(obj[key], kind)
+        except ValueError as exc:
+            raise ValueError(f"{where} {key!r}: {exc}") from None
 
 
 def read_json_records(path, fields) -> list[dict]:
@@ -486,13 +500,7 @@ def read_json_records(path, fields) -> list[dict]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ValueError(f"{path}: entry {i} is not a JSON object")
-        for key, kind in fields.items():
-            if key not in item:
-                raise ValueError(f"{path}: entry {i} has no {key!r}")
-            try:
-                item[key] = _json_typed(item[key], kind)
-            except ValueError as exc:
-                raise ValueError(f"{path}: entry {i} {key!r}: {exc}") from None
+        _json_fields(item, fields, f"{path}: entry {i}")
     return raw
 
 
@@ -500,7 +508,9 @@ def load_manifest(path) -> ModelManifest:
     """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
     raw = read_json_records(path, {"name": object, "class": object, "shape": list[int]})
     layers = []
-    for item in raw:
+    for i, item in enumerate(raw):
+        if any(dim < 0 for dim in item["shape"]):
+            raise ValueError(f"{path}: entry {i} 'shape': {item['shape']} has a negative dim")
         layers.append(LayerSpec(
             name=item["name"],
             layer_class=LayerClass(item["class"]),

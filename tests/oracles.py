@@ -8,7 +8,12 @@ direct definition. The cache oracle keeps the earlier two-dict cache logic
 over the library's similarity math and log, the classifier oracle counts
 keyword matches one category at a time, and the placement oracles are
 exhaustive enumeration, the earlier greedy loop and the earlier
-branch-and-bound solver.
+branch-and-bound solver. The stabilized-SVD oracle is the earlier update
+(a second SVD for the condition number, the increment summed one kept
+triplet at a time); it is the one oracle that calls numpy.linalg.svd, since
+it pins the rewrite to the earlier arithmetic rather than to exact
+singular values. The distillation oracles are the earlier separate loss
+and gradient, each taking its own softmaxes.
 """
 
 import math
@@ -16,6 +21,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from medserve.adapters import EPS_TRUNC, SIGMA_FLOOR
 from medserve.cache import (
     CacheEntry,
     CacheHit,
@@ -369,3 +375,96 @@ class TwoDictCache:
         if self._log is not None:
             self._log.close()
             self._log = None
+
+
+def two_svd_stable_update(b, a, cfg):
+    """The earlier stabilized-SVD update: B @ A rebuilt from its top cfg.rank
+    singular triplets above sigma_max * EPS_TRUNC, summed one outer product
+    at a time, plus lambda * I with kappa from a second, values-only SVD
+    (+inf for the zero product or an underflowing smallest value)."""
+    product = np.asarray(b, dtype=np.float64) @ np.asarray(a, dtype=np.float64)
+    d, k = product.shape
+    u, sigma, vt = np.linalg.svd(product, full_matrices=False)
+    cutoff = sigma[0] * EPS_TRUNC
+    delta = np.zeros((d, k))
+    for i in range(min(cfg.rank, sigma.size)):
+        if sigma[i] > cutoff:
+            delta += sigma[i] * np.outer(u[:, i], vt[i, :])
+    if cfg.lambda0 > 0:
+        values = np.linalg.svd(product, compute_uv=False)
+        nonzero = values[values > 0.0]
+        if nonzero.size == 0 or nonzero[-1] < SIGMA_FLOOR:
+            kappa = math.inf
+        else:
+            kappa = float(nonzero[0] / nonzero[-1])
+        ridge = np.zeros((d, k))
+        np.fill_diagonal(ridge, 1.0)
+        delta += cfg.lambda0 * min(kappa, cfg.kappa_max) / cfg.kappa_max * ridge
+    return delta
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _entity_mass(logits, entity):
+    return float(_softmax(logits)[:, list(entity.token_ids)].sum(axis=1).mean())
+
+
+def separate_distill_loss(batch, entities, weights, temperature=2.0):
+    """The earlier distill_loss: (total, (ce, kl, mse, entity)), with the
+    entity masses taken one softmax per entity and model."""
+    n, _ = batch.student_logits.shape
+    p_student = _softmax(batch.student_logits)
+    picked = np.clip(p_student[np.arange(n), batch.labels], 1e-300, None)
+    ce = float(-np.log(picked).mean())
+
+    q = _softmax(batch.teacher_logits / temperature)
+    log_s = batch.student_logits / temperature
+    log_s = log_s - log_s.max(axis=1, keepdims=True)
+    log_s = log_s - np.log(np.exp(log_s).sum(axis=1, keepdims=True))
+    log_q = np.log(np.clip(q, 1e-300, None))
+    kl = float((q * (log_q - log_s)).sum(axis=1).mean())
+
+    mse = float(((batch.student_hidden - batch.teacher_hidden) ** 2).mean())
+
+    ent = 0.0
+    for e in entities:
+        ent += e.weight * abs(
+            _entity_mass(batch.student_logits, e) - _entity_mass(batch.teacher_logits, e)
+        )
+
+    total = weights.ce * ce + weights.kl * kl + weights.mse * mse + weights.entity * ent
+    return total, (ce, kl, mse, float(ent))
+
+
+def separate_distill_grad(batch, entities, weights, temperature=2.0):
+    """The earlier distill_loss_grad_logits, with its own softmaxes."""
+    n, v = batch.student_logits.shape
+    p = _softmax(batch.student_logits)
+
+    grad = np.zeros((n, v))
+    if weights.ce:
+        onehot = np.zeros((n, v))
+        onehot[np.arange(n), batch.labels] = 1.0
+        grad += weights.ce * (p - onehot) / n
+
+    if weights.kl:
+        q = _softmax(batch.teacher_logits / temperature)
+        s = _softmax(batch.student_logits / temperature)
+        grad += weights.kl * (s - q) / (n * temperature)
+
+    if weights.entity:
+        for e in entities:
+            ids = list(e.token_ids)
+            mask = np.zeros(v)
+            mask[ids] = 1.0
+            per_row = p[:, ids].sum(axis=1)
+            gap = float(per_row.mean()) - _entity_mass(batch.teacher_logits, e)
+            sign = math.copysign(1.0, gap) if gap != 0.0 else 0.0
+            grad += weights.entity * e.weight * sign * (
+                p * (mask[None, :] - per_row[:, None]) / n
+            )
+    return grad

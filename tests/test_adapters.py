@@ -1,5 +1,6 @@
 """Tests for LoRA forward/merge math and the stabilized SVD update."""
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from medserve.adapters import (
     save_adapter,
     stable_svd_update,
 )
-from oracles import jacobi_svd, singular_values
+from oracles import jacobi_svd, singular_values, two_svd_stable_update
 
 
 def random_adapter(rng, d, k, rank, alpha=2.0):
@@ -187,6 +188,66 @@ class TestStableSvd:
             stable_svd_update(np.ones((2, 2)), np.ones((2, 2)),
                               StableSvdConfig(rank=3, lambda0=0.0))
 
+    @staticmethod
+    def _relative_gap(delta, reference):
+        return np.abs(delta - reference).max() / np.abs(reference).max()
+
+    def test_matches_two_svd_reference_on_random_shapes(self):
+        rng = np.random.default_rng(10)
+        worst = 0.0
+        for _ in range(300):
+            d, k = (int(n) for n in rng.integers(1, 41, size=2))
+            inner = int(rng.integers(1, 9))
+            b = rng.normal(size=(d, inner)) * 10.0 ** rng.uniform(-3, 3)
+            a = rng.normal(size=(inner, k))
+            cfg = StableSvdConfig(
+                rank=int(rng.integers(1, min(d, k) + 1)),
+                lambda0=float(rng.choice([0.0, 1e-6, 1e-2])),
+                kappa_max=float(10.0 ** rng.uniform(0.5, 8)),
+            )
+            delta = stable_svd_update(b, a, cfg)
+            worst = max(worst, self._relative_gap(delta, two_svd_stable_update(b, a, cfg)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [10.0, 1e9])
+    def test_ridge_matches_reference_below_and_above_kappa_max(self, kappa):
+        # kappa_max 1e6: the ridge scales with kappa below it, saturates above.
+        rng = np.random.default_rng(11)
+        u, _, vt = jacobi_svd(rng.normal(size=(5, 5)))
+        b = u @ np.diag(np.geomspace(1.0, 1.0 / kappa, 5)) @ vt
+        cfg = StableSvdConfig(rank=3, lambda0=1e-2, kappa_max=1e6)
+        delta = stable_svd_update(b, np.eye(5), cfg)
+        reference = two_svd_stable_update(b, np.eye(5), cfg)
+        assert self._relative_gap(delta, reference) <= 1e-12
+        lam = 1e-2 * min(kappa, 1e6) / 1e6
+        truncated = two_svd_stable_update(b, np.eye(5), StableSvdConfig(rank=3, lambda0=0.0))
+        assert np.allclose(np.diag(delta - truncated), lam, rtol=1e-9, atol=0.0)
+
+    def test_zero_product_gets_the_full_ridge(self):
+        cfg = StableSvdConfig(rank=2, lambda0=1e-6, kappa_max=1e6)
+        b, a = np.zeros((3, 2)), np.ones((2, 4))
+        delta = stable_svd_update(b, a, cfg)
+        assert np.array_equal(delta, two_svd_stable_update(b, a, cfg))
+        assert np.array_equal(delta, 1e-6 * np.eye(3, 4))
+        no_ridge = stable_svd_update(b, a, StableSvdConfig(rank=2, lambda0=0.0))
+        assert np.array_equal(no_ridge, np.zeros((3, 4)))
+
+    def test_one_svd_per_update(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(12)
+        b, a = rng.normal(size=(6, 3)), rng.normal(size=(3, 5))
+        for lambda0 in (0.0, 1e-6):
+            calls.clear()
+            stable_svd_update(b, a, StableSvdConfig(rank=2, lambda0=lambda0))
+            assert calls == [True]
+
 
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -204,4 +265,46 @@ class TestSaveLoad:
         path = tmp_path / "adapter.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError):
+            load_adapter(path)
+
+    @pytest.mark.parametrize("key, value, refused", [
+        ("alpha", True, "True is not a JSON number"),
+        ("alpha", "4.0", "'4.0' is not a JSON number"),
+        ("rank", 2.0, "2.0 is not a JSON integer"),
+        ("d", 3.0, "3.0 is not a JSON integer"),
+        ("b", [["1.5", 0.5], [1.0, 2.0], [0.0, 1.0]], "'1.5' is not a JSON number"),
+        ("a", [[True, 0.5, 1.0], [1.0, 2.0, 3.0]], "True is not a JSON number"),
+        ("a", [1.0, 2.0], "1.0 is not a JSON list"),
+    ])
+    def test_mistyped_field_names_file_and_key(self, tmp_path, key, value, refused):
+        path = tmp_path / "adapter.json"
+        save_adapter(random_adapter(np.random.default_rng(13), 3, 3, 2), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_adapter(path)
+        assert str(info.value) == f"{path}: adapter container {key!r}: {refused}"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc.pop("alpha"), "adapter container has no 'alpha'"),
+        (lambda doc: doc.update(alpha=math.nan), "alpha must be positive and finite"),
+        (lambda doc: doc.update(alpha=math.inf), "alpha must be positive and finite"),
+        (lambda doc: doc.update(b=[[1.0, 2.0], [3.0]]), "inhomogeneous"),
+        (lambda doc: doc.update(rank=0), "rank must be positive"),
+    ])
+    def test_invalid_container_names_file(self, tmp_path, change, message):
+        path = tmp_path / "adapter.json"
+        save_adapter(random_adapter(np.random.default_rng(14), 2, 3, 2), path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as info:
+            load_adapter(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_container_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "adapter.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must be a JSON object"):
             load_adapter(path)

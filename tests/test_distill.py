@@ -21,6 +21,7 @@ from medserve.distill import (
     make_progressive_batches,
     train_toy_distill,
 )
+from oracles import separate_distill_grad, separate_distill_loss
 
 
 class TestSchedule:
@@ -138,6 +139,12 @@ class TestDistillLoss:
         with pytest.raises(ValueError):
             distill_loss(uniform_batch(), [], DistillLossWeights(1, 0, 0, 0), temperature=0)
 
+    @pytest.mark.parametrize("temperature", [0, -1, math.nan])
+    def test_loss_and_gradient_refuse_the_same_temperatures(self, temperature):
+        for fn in (distill_loss, distill_loss_grad_logits):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                fn(uniform_batch(), [], DistillLossWeights(1, 1, 0, 0), temperature=temperature)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             LogitsBatch(
@@ -183,6 +190,77 @@ class TestGradientCheck:
                     numeric[i, j] = (lp - lm) / (2 * eps)
             scale = max(np.abs(numeric).max(), 1e-12)
             assert np.abs(analytic - numeric).max() / scale <= 1e-5, trial
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestSeparateReference:
+    """One set of softmaxes gives the loss and gradient of the earlier
+    separate functions to the bit."""
+
+    @pytest.mark.parametrize("weights", [
+        DistillLossWeights(0.7, 1.3, 0.4, 0.9),
+        DistillLossWeights(0, 1, 0, 0),
+        DistillLossWeights(1, 0, 0.5, 0),
+        DistillLossWeights(0, 0, 0, 2),
+    ])
+    def test_bit_equal_on_random_batches(self, weights):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n, v, h = (int(x) for x in rng.integers([1, 2, 1], [9, 9, 5]))
+            scale = 10.0 ** rng.uniform(-1, 1.5)
+            entities = []
+            for i in range(int(rng.integers(0, 4))):
+                ids = rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)
+                entities.append(
+                    Entity(f"e{i}", tuple(int(t) for t in ids), float(rng.uniform(0.5, 3))))
+            batch = LogitsBatch(
+                student_logits=rng.normal(size=(n, v)) * scale,
+                teacher_logits=rng.normal(size=(n, v)) * scale,
+                labels=rng.integers(0, v, size=n),
+                student_hidden=rng.normal(size=(n, h)),
+                teacher_hidden=rng.normal(size=(n, h)),
+            )
+            temperature = float(rng.choice([1.0, 0.5, 2.0, 3.7]))
+            total, parts = distill_loss(batch, entities, weights, temperature)
+            ref_total, ref_parts = separate_distill_loss(batch, entities, weights, temperature)
+            assert np.array_equal(_bits([total, *parts]), _bits([ref_total, *ref_parts]))
+            grad = distill_loss_grad_logits(batch, entities, weights, temperature)
+            ref = separate_distill_grad(batch, entities, weights, temperature)
+            assert np.array_equal(_bits(grad), _bits(ref))
+
+    def test_four_softmaxes_per_training_step(self, monkeypatch):
+        from medserve import distill
+
+        calls = []
+        softmax = distill._softmax
+        monkeypatch.setattr(distill, "_softmax", lambda z: calls.append(1) or softmax(z))
+        counts = []
+        for steps in (5, 9):
+            calls.clear()
+            train_toy_distill(ToyDistillConfig(steps=steps))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 4 * 4
+
+    def test_frozen_teacher_runs_once_per_batch(self, monkeypatch):
+        from medserve.distill import DenseNet
+
+        config = ToyDistillConfig()
+        widths = []
+        forward = DenseNet.forward
+
+        def counting_forward(self, x):
+            widths.append(self.w1.shape[0])
+            return forward(self, x)
+
+        monkeypatch.setattr(DenseNet, "forward", counting_forward)
+        train_toy_distill(config)
+        batches = -(-config.dataset_size // config.batch_size)
+        # once for the labels, once per batch, and once in each of the two
+        # KL evaluations
+        assert widths.count(config.teacher_width) == 1 + batches + 2 == 7
 
 
 class TestGridSearch:

@@ -1078,6 +1078,17 @@ class TestCheckpointContainer:
         with pytest.raises(ValueError, match=f"manifest.json: {match}"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("shape", [[-2, 4], [4, -1], [-1]])
+    def test_manifest_negative_dim_refused(self, tmp_path, shape):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([
+            {"name": "a", "class": "attention", "shape": [4, 0]},
+            {"name": "b", "class": "feedforward", "shape": shape},
+        ]))
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: entry 1 'shape': {shape} has a negative dim"
+
     def test_manifest_json_loader(self, tmp_path):
         doc = [
             {"name": "a", "class": "attention", "shape": [4, 4]},

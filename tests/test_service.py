@@ -1171,6 +1171,47 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    @pytest.mark.parametrize("change, refused", [
+        (lambda d: d["cache"].update(capacity=1.7), "'capacity': 1.7 is not a JSON integer"),
+        (lambda d: d["cache"].update(capacity=True), "'capacity': True is not a JSON integer"),
+        (lambda d: d["listen"].update(port="80"), "'port': '80' is not a JSON integer"),
+        (lambda d: d["mock_engine"].update(seed=2.9), "'seed': 2.9 is not a JSON integer"),
+        (lambda d: d["runtime"].update(warmup_shapes=[[32.9, 1]]),
+         "'warmup_shapes': 32.9 is not a JSON integer"),
+        (lambda d: d["quantization"]["bits"].update(attention=8.9),
+         "'attention': 8.9 is not a JSON integer"),
+        (lambda d: d["hardware"].update(accelerator_memory_bytes="8589934592"),
+         "'accelerator_memory_bytes': '8589934592' is not a JSON integer"),
+        (lambda d: d["hardware"].update(accelerator_memory_bytes=8e9),
+         "'accelerator_memory_bytes': 8000000000.0 is not a JSON integer"),
+        (lambda d: d["engines"][0].update(id=5), "'id': 5 is not a JSON string"),
+        (lambda d: d["workload"].update(mean_prompt_tokens="96"),
+         "'mean_prompt_tokens': '96' is not a JSON number"),
+        (lambda d: d.update(schema_version=True), "'schema_version': True is not a JSON integer"),
+        (lambda d: d.update(lexicon_path=7), "'lexicon_path': 7 is not a JSON string"),
+    ])
+    def test_mistyped_value_exit_two_naming_the_key(self, tmp_path, capsys, change, refused):
+        path = self._config_with(tmp_path, change)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config key {refused}"
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert f"config error: config key {refused}" in capsys.readouterr().err
+
+    def test_integer_values_where_floats_are_taken(self, tmp_path):
+        path = self._config_with(tmp_path, lambda d: d["workload"].update(
+            mean_prompt_tokens=96, mean_output_tokens=160))
+        workload = load_config(path).workload
+        assert (workload.mean_prompt_tokens, workload.mean_output_tokens) == (96.0, 160.0)
+        assert type(workload.mean_prompt_tokens) is float
+
+    @pytest.mark.parametrize("shapes", [[[32]], [[32, 1, 1]]])
+    def test_warmup_shape_not_a_pair_exit_two(self, tmp_path, capsys, shapes):
+        path = self._config_with(
+            tmp_path, lambda d: d["runtime"].update(warmup_shapes=shapes))
+        assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
+        assert "warmup_shapes must be [seq_len, batch] pairs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("port", ["abc", 70000])
     def test_bad_listen_port_exit_two(self, tmp_path, capsys, port):
         path = self._config_with(tmp_path, lambda d: d["listen"].update(port=port))
@@ -1247,6 +1288,18 @@ class TestCLI:
         assert cli_main(["quantize", "--manifest", str(mpath)]) == 0
         out = capsys.readouterr().out
         assert "reduction" in out
+
+    def test_quantize_negative_shape_dim_exit_three(self, tmp_path, capsys):
+        manifest = [
+            {"name": "a", "class": "attention", "shape": [2, 2]},
+            {"name": "f", "class": "feedforward", "shape": [-2, 4]},
+        ]
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        assert cli_main(["quantize", "--manifest", str(mpath)]) == 3
+        captured = capsys.readouterr()
+        assert "total:" not in captured.out
+        assert f"{mpath}: entry 1 'shape': [-2, 4] has a negative dim" in captured.err
 
     def test_quantize_checkpoint_roundtrip(self, tmp_path, capsys):
         import numpy as np
