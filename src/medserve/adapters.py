@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantizer import _json_fields
+from .jsonio import read_file, typed_fields
 
 # Relative singular-value cutoff: components below sigma_max * EPS_TRUNC are
 # treated as numerically insignificant and dropped from the reconstruction.
@@ -198,27 +198,20 @@ def load_adapter(path) -> LoraAdapter:
 
     Raises ValueError naming the file, and the key at fault.
     """
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: adapter container must be a JSON object")
-    if payload.get("format") != ADAPTER_FORMAT:
+    payload = read_file(path)
+    typed_fields(payload, {"format": object}, f"{path}: adapter container")
+    if payload["format"] != ADAPTER_FORMAT:
         raise ValueError(f"{path}: unrecognized adapter container format")
-    _json_fields(payload, {
+    typed_fields(payload, {
         "d": int, "k": int, "rank": int, "alpha": float,
         "b": list[list[float]], "a": list[list[float]],
     }, f"{path}: adapter container")
     try:
-        adapter = LoraAdapter(
-            b=np.array(payload["b"], dtype=np.float64),
-            a=np.array(payload["a"], dtype=np.float64),
-            rank=payload["rank"],
-            alpha=payload["alpha"],
-        )
+        adapter = LoraAdapter(payload["b"], payload["a"], payload["rank"], payload["alpha"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if adapter.b.shape != (payload["d"], payload["rank"]):
-        raise ValueError(f"{path}: B shape disagrees with header dims")
-    if adapter.a.shape != (payload["rank"], payload["k"]):
-        raise ValueError(f"{path}: A shape disagrees with header dims")
+    d, rank, k = payload["d"], payload["rank"], payload["k"]
+    if (adapter.b.shape, adapter.a.shape) != ((d, rank), (rank, k)):
+        raise ValueError(f"{path}: factor shapes {adapter.b.shape} x {adapter.a.shape} "
+                         f"disagree with header dims d={d}, rank={rank}, k={k}")
     return adapter

@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, load_config
+from .query_pipeline import LexiconError
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
@@ -67,16 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path):
-    from .config import load_config
-
-    return load_config(path)
-
-
 def _cmd_serve(args) -> int:
     from .service import serve_forever
 
-    config = _load_config(args.config)
+    config = load_config(args.config)
     serve_forever(config, host=args.host, port=args.port)
     return EXIT_OK
 
@@ -84,7 +81,7 @@ def _cmd_serve(args) -> int:
 def _cmd_classify(args) -> int:
     from .query_pipeline import build_prompt, classify, load_lexicon, load_templates
 
-    config = _load_config(args.config)
+    config = load_config(args.config)
     lexicon = load_lexicon(config.lexicon_path)
     classified = classify(args.text, lexicon)
     print(f"category: {classified.category.value}")
@@ -100,7 +97,7 @@ def _cmd_classify(args) -> int:
 def _cmd_quantize(args) -> int:
     from .quantizer import apply_policy, load_manifest, write_checkpoint
 
-    config = _load_config(args.config)
+    config = load_config(args.config)
     manifest = load_manifest(args.manifest)
     policy = config.quantization
     plan = apply_policy(manifest, policy)
@@ -139,30 +136,17 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_place(args) -> int:
     from .placement import DeviceSpec, LayerProfile, solve_placement
-    from .quantizer import read_json_records
+    from .jsonio import read_json_records
 
-    layers_doc = read_json_records(args.layers, {
-        "id": object, "order": int, "flops": float, "weight_bytes": int,
-        "activation_bytes": int,
-    })
-    devices_doc = read_json_records(args.devices, {
-        "id": object, "memory_bytes": int, "throughput_flops": float,
-        "bandwidth_bytes": float,
-    })
-    layers = [
-        LayerProfile(
-            id=str(l["id"]), order=l["order"], flops=l["flops"],
-            weight_bytes=l["weight_bytes"], activation_bytes=l["activation_bytes"],
-        )
-        for l in layers_doc
-    ]
-    devices = [
-        DeviceSpec(
-            id=str(d["id"]), memory_bytes=d["memory_bytes"],
-            throughput_flops=d["throughput_flops"], bandwidth_bytes=d["bandwidth_bytes"],
-        )
-        for d in devices_doc
-    ]
+    def profiles(path, cls, **fields):
+        """cls from each record of the file at path, its id as a string."""
+        return [cls(**{key: record[key] for key in fields} | {"id": str(record["id"])})
+                for record in read_json_records(path, {"id": object, **fields})]
+
+    layers = profiles(args.layers, LayerProfile, order=int, flops=float,
+                      weight_bytes=int, activation_bytes=int)
+    devices = profiles(args.devices, DeviceSpec, memory_bytes=int,
+                       throughput_flops=float, bandwidth_bytes=float)
     plan = solve_placement(layers, devices, mode=args.mode)
     if args.json:
         print(json.dumps({
@@ -171,7 +155,7 @@ def _cmd_place(args) -> int:
             "latency_s_per_token": plan.latency if plan.feasible else None,
             "assignment": plan.assignment,
             "memory_per_device": plan.memory_per_device,
-        }, indent=2, sort_keys=True))
+        }, indent=2, sort_keys=True, allow_nan=False))
         return EXIT_OK if plan.feasible else EXIT_RUNTIME
     if not plan.feasible:
         print("placement infeasible: total weights exceed device capacities")
@@ -188,7 +172,7 @@ def _cmd_place(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import BenchSpec, run_bench
 
-    config = _load_config(args.config)
+    config = load_config(args.config)
     spec = BenchSpec(requests=args.requests, unique=args.unique, seed=args.seed)
     report = run_bench(config, spec)
     print(report.text(), end="")
@@ -234,9 +218,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    from .config import ConfigError
-    from .query_pipeline import LexiconError
 
     try:
         return _COMMANDS[args.command](args)

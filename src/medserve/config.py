@@ -12,13 +12,13 @@ are ignored.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import SimilarityConfig
 from .engines import MockEngine
-from .quantizer import LayerClass, PrecisionPolicy, _json_typed
+from .jsonio import read_file, typed
+from .quantizer import LayerClass, PrecisionPolicy
 from .runtime import (
     DecisionWeights,
     EngineProfile,
@@ -107,9 +107,9 @@ def default_config_path() -> Path:
 
 
 def _typed(doc: dict, key: str, kind):
-    """doc[key] checked to be a JSON value of kind (see _json_typed)."""
+    """doc[key] checked to be a JSON value of kind (see jsonio.typed)."""
     try:
-        return _json_typed(doc[key], kind)
+        return typed(doc[key], kind)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -135,6 +135,11 @@ def _given(section: dict, **kinds) -> dict:
     return {key: _typed(section, key, kind) for key, kind in kinds.items() if key in section}
 
 
+def _required(section: dict, **kinds) -> dict:
+    """The type-checked values of the keys, each of which the section must give."""
+    return {key: _require(section, key, kind) for key, kind in kinds.items()}
+
+
 def _parse(doc: dict) -> ServiceConfig:
     version = _require(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
@@ -157,26 +162,19 @@ def _parse(doc: dict) -> ServiceConfig:
         )
 
         hw_doc = _section(doc, "hardware", required=True)
-        hardware = HardwareEnv(
-            accelerator_memory_bytes=_require(hw_doc, "accelerator_memory_bytes", int),
-        )
+        hardware = HardwareEnv(**_required(hw_doc, accelerator_memory_bytes=int))
 
         wl_doc = _section(doc, "workload", required=True)
-        workload = WorkloadProfile(
-            mean_prompt_tokens=_require(wl_doc, "mean_prompt_tokens", float),
-            mean_output_tokens=_require(wl_doc, "mean_output_tokens", float),
-        )
+        workload = WorkloadProfile(**_required(
+            wl_doc, mean_prompt_tokens=float, mean_output_tokens=float,
+        ))
 
         engines_doc = _require(doc, "engines")
         if not isinstance(engines_doc, list) or not all(isinstance(e, dict) for e in engines_doc):
             raise ConfigError("config key 'engines' must be a JSON list of objects")
         engines = tuple(
-            EngineProfile(
-                id=_require(e, "id", str),
-                base_rate_tokens_per_s=_require(e, "base_rate_tokens_per_s", float),
-                request_overhead_s=_require(e, "request_overhead_s", float),
-                memory_bytes=_require(e, "memory_bytes", int),
-            )
+            EngineProfile(**_required(e, id=str, base_rate_tokens_per_s=float,
+                                      request_overhead_s=float, memory_bytes=int))
             for e in engines_doc
         )
         if not engines:
@@ -189,13 +187,9 @@ def _parse(doc: dict) -> ServiceConfig:
         mc_doc = _section(doc, "mode_candidates", required=True)
         candidates = []
         for mode in ("adapter", "merged"):
-            m_doc = _section(mc_doc, mode, required=True)
-            candidates.append(ModeCandidate(
-                mode=mode,
-                performance=_require(m_doc, "performance", float),
-                fit=_require(m_doc, "fit", float),
-                cost=_require(m_doc, "cost", float),
-            ))
+            candidates.append(ModeCandidate(mode=mode, **_required(
+                _section(mc_doc, mode, required=True), performance=float, fit=float, cost=float,
+            )))
 
         paths = {key: Path(_typed(doc, key, str)) for key in ("lexicon_path", "templates_path")
                  if doc.get(key) is not None}
@@ -207,11 +201,8 @@ def _parse(doc: dict) -> ServiceConfig:
         remote = None
         if doc.get("remote_engine"):
             r = _section(doc, "remote_engine")
-            remote = RemoteEngineSettings(
-                endpoint=_require(r, "endpoint", str),
-                model=_require(r, "model", str),
-                **_given(r, timeout_s=float, retry_backoff_s=float),
-            )
+            remote = RemoteEngineSettings(**_required(r, endpoint=str, model=str),
+                                          **_given(r, timeout_s=float, retry_backoff_s=float))
 
         return ServiceConfig(
             cache=cache,
@@ -236,12 +227,7 @@ def _parse(doc: dict) -> ServiceConfig:
 def load_config(path=None) -> ServiceConfig:
     """Load and validate a service config; None loads the packaged defaults."""
     path = default_config_path() if path is None else Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_file(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return _parse(doc)

@@ -121,12 +121,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def entity_mass(logits: np.ndarray, entity: Entity) -> float:
-    """Probability mass on the entity's tokens, softmax at T=1, batch mean."""
-    probs = _softmax(logits)
-    return float(probs[:, list(entity.token_ids)].sum(axis=1).mean())
-
-
 def _loss_and_grad(
     batch: LogitsBatch,
     entities: list[Entity],
@@ -370,13 +364,15 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
         TrainingSample(features=x[i], target=int(labels_all[i]), complexity=float(entropy[i]))
         for i in range(config.dataset_size)
     ]
-    # The teacher is frozen, so each batch's teacher outputs are built once.
+    # The teacher is frozen, so each batch's outputs are built and checked once,
+    # standing in for the student's, which each step puts in and checks.
     batches = []
     for batch_samples in make_progressive_batches(samples, config.batch_size):
         xb = np.stack([s.features for s in batch_samples])
         t_hidden, t_logits = teacher.forward(xb)
+        t_hidden = t_hidden @ proj.T
         labels = np.array([s.target for s in batch_samples])
-        batches.append((xb, labels, t_hidden @ proj.T, t_logits))
+        batches.append((xb, LogitsBatch(t_logits, t_logits, labels, t_hidden, t_hidden)))
 
     entities = [
         Entity(name=f"class-{c}", token_ids=(c,), weight=2.0)
@@ -395,17 +391,14 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
     # non-finite outcome is detected and reported as divergence.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(config.steps):
-            xb, labels, t_hidden, t_logits = batches[step % len(batches)]
+            xb, batch = batches[step % len(batches)]
             s_hidden, s_logits = student.forward(xb)
             if not (np.all(np.isfinite(s_logits)) and np.all(np.isfinite(s_hidden))):
                 return DistillReport(
                     steps=records, initial_kl=initial_kl, final_kl=math.inf,
                     diverged=True, diverged_step=step,
                 )
-            batch = LogitsBatch(
-                student_logits=s_logits, teacher_logits=t_logits, labels=labels,
-                student_hidden=s_hidden, teacher_hidden=t_hidden,
-            )
+            batch.student_logits, batch.student_hidden = s_logits, s_hidden
             total, (ce, kl, mse, ent), g_logits = _loss_and_grad(
                 batch, entities, config.weights, config.temperature
             )
@@ -419,7 +412,7 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
                 )
 
             g_hidden = g_logits @ student.w2
-            g_hidden += config.weights.mse * 2.0 * (s_hidden - t_hidden) / s_hidden.size
+            g_hidden += config.weights.mse * 2.0 * (s_hidden - batch.teacher_hidden) / s_hidden.size
             g_pre = g_hidden * (1.0 - s_hidden ** 2)
 
             grads = [

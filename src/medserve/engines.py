@@ -15,6 +15,8 @@ import math
 import time
 from dataclasses import dataclass
 
+from .jsonio import loads, typed
+
 
 class RemoteEngineError(RuntimeError):
     """Base class for remote-generation failures."""
@@ -106,27 +108,18 @@ def remote_engine_generate(prompt: str, endpoint: str, model: str,
                 payload = response.read()
         except urllib.error.HTTPError as exc:
             last_error = RemoteEngineHTTPError(exc.code, exc.reason or "")
-            continue
         except TimeoutError:
             last_error = RemoteEngineTimeout(f"no response within {timeout_s}s")
-            continue
         except urllib.error.URLError as exc:
             if isinstance(exc.reason, TimeoutError):
                 last_error = RemoteEngineTimeout(f"no response within {timeout_s}s")
             else:
                 last_error = RemoteEngineError(f"connection failed: {exc.reason}")
-            continue
         except OSError as exc:
             last_error = RemoteEngineError(f"connection failed: {exc}")
-            continue
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-            text = doc["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, UnicodeDecodeError, LookupError, TypeError):
-            last_error = RemoteEngineProtocolError("response body is not a chat completion")
-            continue
-        if not isinstance(text, str):
-            last_error = RemoteEngineProtocolError("completion content is not text")
-            continue
-        return text
+        else:
+            try:
+                return typed(loads(payload)["choices"][0]["message"]["content"], str)
+            except (ValueError, LookupError, TypeError):  # InvalidJSON is a ValueError
+                last_error = RemoteEngineProtocolError("response body is not a chat completion")
     raise last_error

@@ -60,9 +60,10 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
+
+from .jsonio import loads, read_json_records, typed_fields
 
 # Frozen 16-level codebook at standard-normal quantiles, normalized per half
 # so the span is exactly [-1, +1] with an exact 0 at index 7. Generated by
@@ -454,56 +455,6 @@ def synthetic_7b_manifest(blocks: int = 32, hidden: int = 4096,
     return ModelManifest(tuple(layers))
 
 
-def _json_typed(value, kind):
-    """value as a JSON value of kind: int takes a JSON integer only (not an
-    integral float such as 8e9), float any JSON number (returned as a
-    float), str a JSON string, list[kind] a list of values of kind and
-    object any value. Bools and numeric strings are neither integers nor
-    numbers. Raises ValueError saying what value was refused."""
-    if get_origin(kind) is list:
-        if not isinstance(value, list):
-            raise ValueError(f"{value!r} is not a JSON list")
-        return [_json_typed(item, *get_args(kind)) for item in value]
-    if kind is object or (kind in (int, str) and type(value) is kind):
-        return value
-    if kind is float and type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(f"{value!r} is beyond the float range") from None
-    expected = {int: "integer", float: "number", str: "string"}[kind]
-    raise ValueError(f"{value!r} is not a JSON {expected}")
-
-
-def _json_fields(obj: dict, fields, where: str) -> None:
-    """Type each key in fields of the JSON object obj in place (see
-    _json_typed); a missing or refused key raises ValueError prefixed by
-    where."""
-    for key, kind in fields.items():
-        if key not in obj:
-            raise ValueError(f"{where} has no {key!r}")
-        try:
-            obj[key] = _json_typed(obj[key], kind)
-        except ValueError as exc:
-            raise ValueError(f"{where} {key!r}: {exc}") from None
-
-
-def read_json_records(path, fields) -> list[dict]:
-    """A JSON file holding a list of objects, each with every key in fields,
-    whose value has the type fields gives it (see _json_typed).
-
-    Raises ValueError naming the file, and the entry index and key at fault.
-    """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a JSON list of objects, got {type(raw).__name__}")
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ValueError(f"{path}: entry {i} is not a JSON object")
-        _json_fields(item, fields, f"{path}: entry {i}")
-    return raw
-
-
 def load_manifest(path) -> ModelManifest:
     """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
     raw = read_json_records(path, {"name": object, "class": object, "shape": list[int]})
@@ -583,13 +534,10 @@ def _layer_table(path, header) -> list[dict]:
     """The header's layer entries, each checked against the format: a name
     no other entry has, 4, 8 or 16 bits, a shape of non-negative integers,
     and integer segment lengths equal to what those and the block size give."""
-    layers = header.get("layers") if isinstance(header, dict) else None
-    if not isinstance(layers, list):
-        raise ValueError(f"{path}: header has no layer list")
+    typed_fields(header, {"layers": list[dict[str, object]]}, f"{path}: header")
     names = set()
-    for i, entry in enumerate(layers):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ValueError(f"{path}: layer {i}: entry has no name")
+    for i, entry in enumerate(header["layers"]):
+        typed_fields(entry, {"name": str}, f"{path}: layer {i}")
         where = f"{path}: layer {entry['name']!r}"
         if entry["name"] in names:
             raise ValueError(f"{where}: name repeats an earlier entry's")
@@ -615,7 +563,7 @@ def _layer_table(path, header) -> list[dict]:
                 f"{entry['scales_len']!r} disagree with {bits} bits, shape {shape} "
                 f"and block size {block_size}, which give {want[0]} and {want[1]}"
             )
-    return layers
+    return header["layers"]
 
 
 class CheckpointWeights(Mapping):
@@ -665,8 +613,8 @@ def read_checkpoint(path) -> tuple[dict, CheckpointWeights]:
     if offset > len(mapped):
         raise ValueError(f"{path}: truncated checkpoint: header runs past end of file")
     try:
-        header = json.loads(mapped[12:offset].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = loads(mapped[12:offset])
+    except ValueError as exc:
         raise ValueError(f"{path}: header is not UTF-8 JSON: {exc}") from None
     table = _layer_table(path, header)
     segments = sum(e["codes_len"] + e["scales_len"] for e in table)

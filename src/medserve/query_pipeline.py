@@ -8,11 +8,11 @@ base prompt.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
+
+from .jsonio import read_file, typed, typed_fields
 
 
 class MedicalCategory(Enum):
@@ -149,52 +149,34 @@ def prompt_token_count(classified: ClassifiedQuery, templates: PromptTemplate) -
     return templates.token_counts[classified.category] + len(classified.tokens)
 
 
-def _category_map(raw: dict, path, what: str) -> dict[MedicalCategory, object]:
-    if not isinstance(raw, dict):
-        raise LexiconError(f"{path}: {what} must be a JSON object")
-    out = {}
-    for key, value in raw.items():
-        try:
-            out[MedicalCategory(key)] = value
-        except ValueError:
-            raise LexiconError(f"{path}: unknown category {key!r}") from None
-    return out
-
-
 def load_lexicon(path) -> KeywordLexicon:
     """Load and validate a keyword lexicon from a JSON file.
 
     Schema: {"<category>": ["keyword", ...], ...} with all five categories
-    present. Keywords are lowercased and deduplicated.
+    present. Keywords are lowercased and deduplicated. Any fault raises
+    LexiconError naming the file.
     """
-    path = Path(path)
+    raw = read_file(path, LexiconError)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc}") from exc
-    mapping = _category_map(raw, path, "lexicon")
-    keywords = {}
-    for cat, words in mapping.items():
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise LexiconError(f"{path}: keywords for {cat.value!r} must be a list of strings")
-        keywords[cat] = frozenset(w.lower() for w in words)
-    return KeywordLexicon(keywords)
+        return KeywordLexicon({
+            MedicalCategory(cat): frozenset(word.lower() for word in words)
+            for cat, words in typed(raw, dict[str, list[str]]).items()
+        })
+    except ValueError as exc:
+        raise LexiconError(f"{path}: {exc}") from None
 
 
 def load_templates(path) -> PromptTemplate:
     """Load prompt templates from a JSON file.
 
-    Schema: {"base": "...", "suffixes": {"<category>": "...", ...}}.
+    Schema: {"base": "...", "suffixes": {"<category>": "...", ...}}. Any
+    fault raises LexiconError naming the file.
     """
-    path = Path(path)
+    raw = read_file(path, LexiconError)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "base" not in raw or "suffixes" not in raw:
-        raise LexiconError(f"{path}: templates file needs 'base' and 'suffixes' keys")
-    suffixes = _category_map(raw["suffixes"], path, "suffixes")
-    for cat, text in suffixes.items():
-        if not isinstance(text, str):
-            raise LexiconError(f"{path}: suffix for {cat.value!r} must be a string")
-    return PromptTemplate(base=raw["base"], suffixes=suffixes)
+        typed_fields(raw, {"base": str, "suffixes": dict[str, str]}, "templates file")
+        return PromptTemplate(base=raw["base"], suffixes={
+            MedicalCategory(cat): text for cat, text in raw["suffixes"].items()
+        })
+    except ValueError as exc:
+        raise LexiconError(f"{path}: {exc}") from None

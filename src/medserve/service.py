@@ -36,6 +36,7 @@ from http import HTTPStatus
 from .cache import QueryFeatures, TwoLevelCache
 from .config import ServiceConfig
 from .engines import RemoteEngineError, remote_engine_generate
+from .jsonio import InvalidJSON, loads
 from .query_pipeline import (
     ClassifiedQuery,
     KeywordLexicon,
@@ -362,6 +363,9 @@ _STATUS_LINES = {status.value: f"HTTP/1.0 {status.value} {status.phrase}\r\n"
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+# No answer holds NaN or Infinity (RFC 8259 §6). Built once: a keyword to
+# json.dumps would build an encoder on every call.
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -376,7 +380,7 @@ def _http_date(second: int) -> str:
 def _reply(status: int, payload: dict, fields: str = "") -> bytes:
     """A whole HTTP/1.0 response with payload as its JSON body; fields are
     more header lines, each ending in CRLF."""
-    body = json.dumps(payload).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     return (
         f"{_STATUS_LINES[status]}Server: medserve\r\n"
         f"Date: {_http_date(int(time.time()))}\r\n"
@@ -651,11 +655,11 @@ class PooledHTTPServer:
             return 404, {"error": "not found"}
         body = arrival.received[arrival.size - head.length:arrival.size]
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = loads(body)
             if not isinstance(doc, dict):
                 raise BadRequest("request body must be a JSON object")
             answered = self.service.lookup_query(doc.get("text", ""))
-        except (json.JSONDecodeError, UnicodeDecodeError, BadRequest) as exc:
+        except (InvalidJSON, BadRequest) as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:
             log.exception("unhandled error")

@@ -218,3 +218,24 @@ class TestLoadFixtures:
         path.write_text(json.dumps(doc))
         with pytest.raises(LexiconError, match="treatment"):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("loader, doc, fault", [
+        (load_lexicon, {c.value: ["word"] for c in CATS} | {"medication": ["dose", 5]},
+         "key 'medication': 5 is not a JSON string"),
+        (load_lexicon, {c.value: ["word"] for c in CATS} | {"surgery": ["knife"]},
+         "'surgery' is not a valid MedicalCategory"),
+        (load_lexicon, [["medication", "dose"]], "is not a JSON object"),
+        (load_templates, {"suffixes": {c.value: "" for c in CATS}},
+         "templates file has no 'base'"),
+        (load_templates, {"base": "B", "suffixes": {c.value: 5 for c in CATS}},
+         "templates file 'suffixes': key 'medication': 5 is not a JSON string"),
+        (load_templates, {"base": 7, "suffixes": {c.value: "" for c in CATS}},
+         "templates file 'base': 7 is not a JSON string"),
+    ])
+    def test_mistyped_file_names_file_and_key(self, tmp_path, loader, doc, fault):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LexiconError) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert fault in str(info.value)

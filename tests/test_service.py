@@ -251,12 +251,14 @@ class TestRemoteEngine:
                                    timeout_s=0.1, retry_backoff_s=0.01)
 
     def test_malformed_body(self, stub_server):
-        _StubHandler.script = [
-            (200, b"not json", 0.0),
-            (200, b'{"weird": true}', 0.0),
-        ]
-        with pytest.raises(RemoteEngineProtocolError):
-            remote_engine_generate("q", stub_server, "m", retry_backoff_s=0.01)
+        # nested past the recursion limit, a reply once escaped the retry as RecursionError
+        for first in (b"not json", b"[" * 60_000):
+            _StubHandler.script = [
+                (200, first, 0.0),
+                (200, b'{"weird": true}', 0.0),
+            ]
+            with pytest.raises(RemoteEngineProtocolError):
+                remote_engine_generate("q", stub_server, "m", retry_backoff_s=0.01)
 
 
 class TestServicePipeline:
@@ -492,8 +494,10 @@ class TestHTTPAPI:
 
     def test_malformed_json_is_400(self, server):
         base, _ = server
-        status, _ = self._post(base, None, raw=b"{nope")
-        assert status == 400
+        # nested past the recursion limit, the body once raised RecursionError: a 500
+        for raw in (b"{nope", b"[" * 60_000, b'{"text": NaN}'):
+            status, doc = self._post(base, None, raw=raw)
+            assert status == 400, doc
 
     @staticmethod
     def _raw_post(base, headers: str, body: bytes = b"") -> int:
@@ -1237,6 +1241,14 @@ class TestCLI:
         path = self._config_with(tmp_path, lambda d: d.update(engines=engines))
         assert cli_main(["classify", "dose of aspirin", "--config", path]) == 2
         assert "config key 'engines' must be a JSON list of objects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lexicon_path", "templates_path"])
+    def test_missing_lexicon_or_templates_exit_two(self, tmp_path, capsys, key):
+        # was: exit 3 with a raw "[Errno 2] No such file or directory"
+        absent = tmp_path / "absent.json"
+        path = self._config_with(tmp_path, lambda d: d.update({key: str(absent)}))
+        assert cli_main(["classify", "aspirin dose", "--prompt", "--config", path]) == 2
+        assert f"config error: {absent}: file not found" in capsys.readouterr().err
 
     def test_negative_remote_timeout_exit_two(self, tmp_path, capsys):
         remote = {"endpoint": "http://127.0.0.1:9", "model": "m", "timeout_s": -1}
