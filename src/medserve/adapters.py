@@ -207,11 +207,13 @@ def load_adapter(path) -> LoraAdapter:
         "b": list[list[float]], "a": list[list[float]],
     }, f"{path}: adapter container")
     try:
-        adapter = LoraAdapter(payload["b"], payload["a"], payload["rank"], payload["alpha"])
+        adapter = LoraAdapter(
+            b=payload["b"], a=payload["a"], rank=payload["rank"], alpha=payload["alpha"],
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    d, rank, k = payload["d"], payload["rank"], payload["k"]
-    if (adapter.b.shape, adapter.a.shape) != ((d, rank), (rank, k)):
-        raise ValueError(f"{path}: factor shapes {adapter.b.shape} x {adapter.a.shape} "
-                         f"disagree with header dims d={d}, rank={rank}, k={k}")
+    if adapter.b.shape != (payload["d"], payload["rank"]):
+        raise ValueError(f"{path}: B shape disagrees with header dims")
+    if adapter.a.shape != (payload["rank"], payload["k"]):
+        raise ValueError(f"{path}: A shape disagrees with header dims")
     return adapter

@@ -138,15 +138,28 @@ def _cmd_place(args) -> int:
     from .placement import DeviceSpec, LayerProfile, solve_placement
     from .jsonio import read_json_records
 
-    def profiles(path, cls, **fields):
-        """cls from each record of the file at path, its id as a string."""
-        return [cls(**{key: record[key] for key in fields} | {"id": str(record["id"])})
-                for record in read_json_records(path, {"id": object, **fields})]
-
-    layers = profiles(args.layers, LayerProfile, order=int, flops=float,
-                      weight_bytes=int, activation_bytes=int)
-    devices = profiles(args.devices, DeviceSpec, memory_bytes=int,
-                       throughput_flops=float, bandwidth_bytes=float)
+    layers_doc = read_json_records(args.layers, {
+        "id": object, "order": int, "flops": float, "weight_bytes": int,
+        "activation_bytes": int,
+    })
+    devices_doc = read_json_records(args.devices, {
+        "id": object, "memory_bytes": int, "throughput_flops": float,
+        "bandwidth_bytes": float,
+    })
+    layers = [
+        LayerProfile(
+            id=str(l["id"]), order=l["order"], flops=l["flops"],
+            weight_bytes=l["weight_bytes"], activation_bytes=l["activation_bytes"],
+        )
+        for l in layers_doc
+    ]
+    devices = [
+        DeviceSpec(
+            id=str(d["id"]), memory_bytes=d["memory_bytes"],
+            throughput_flops=d["throughput_flops"], bandwidth_bytes=d["bandwidth_bytes"],
+        )
+        for d in devices_doc
+    ]
     plan = solve_placement(layers, devices, mode=args.mode)
     if args.json:
         print(json.dumps({

@@ -135,11 +135,6 @@ def _given(section: dict, **kinds) -> dict:
     return {key: _typed(section, key, kind) for key, kind in kinds.items() if key in section}
 
 
-def _required(section: dict, **kinds) -> dict:
-    """The type-checked values of the keys, each of which the section must give."""
-    return {key: _require(section, key, kind) for key, kind in kinds.items()}
-
-
 def _parse(doc: dict) -> ServiceConfig:
     version = _require(doc, "schema_version", int)
     if version != SCHEMA_VERSION:
@@ -162,19 +157,26 @@ def _parse(doc: dict) -> ServiceConfig:
         )
 
         hw_doc = _section(doc, "hardware", required=True)
-        hardware = HardwareEnv(**_required(hw_doc, accelerator_memory_bytes=int))
+        hardware = HardwareEnv(
+            accelerator_memory_bytes=_require(hw_doc, "accelerator_memory_bytes", int),
+        )
 
         wl_doc = _section(doc, "workload", required=True)
-        workload = WorkloadProfile(**_required(
-            wl_doc, mean_prompt_tokens=float, mean_output_tokens=float,
-        ))
+        workload = WorkloadProfile(
+            mean_prompt_tokens=_require(wl_doc, "mean_prompt_tokens", float),
+            mean_output_tokens=_require(wl_doc, "mean_output_tokens", float),
+        )
 
         engines_doc = _require(doc, "engines")
         if not isinstance(engines_doc, list) or not all(isinstance(e, dict) for e in engines_doc):
             raise ConfigError("config key 'engines' must be a JSON list of objects")
         engines = tuple(
-            EngineProfile(**_required(e, id=str, base_rate_tokens_per_s=float,
-                                      request_overhead_s=float, memory_bytes=int))
+            EngineProfile(
+                id=_require(e, "id", str),
+                base_rate_tokens_per_s=_require(e, "base_rate_tokens_per_s", float),
+                request_overhead_s=_require(e, "request_overhead_s", float),
+                memory_bytes=_require(e, "memory_bytes", int),
+            )
             for e in engines_doc
         )
         if not engines:
@@ -187,9 +189,13 @@ def _parse(doc: dict) -> ServiceConfig:
         mc_doc = _section(doc, "mode_candidates", required=True)
         candidates = []
         for mode in ("adapter", "merged"):
-            candidates.append(ModeCandidate(mode=mode, **_required(
-                _section(mc_doc, mode, required=True), performance=float, fit=float, cost=float,
-            )))
+            m_doc = _section(mc_doc, mode, required=True)
+            candidates.append(ModeCandidate(
+                mode=mode,
+                performance=_require(m_doc, "performance", float),
+                fit=_require(m_doc, "fit", float),
+                cost=_require(m_doc, "cost", float),
+            ))
 
         paths = {key: Path(_typed(doc, key, str)) for key in ("lexicon_path", "templates_path")
                  if doc.get(key) is not None}
@@ -201,8 +207,11 @@ def _parse(doc: dict) -> ServiceConfig:
         remote = None
         if doc.get("remote_engine"):
             r = _section(doc, "remote_engine")
-            remote = RemoteEngineSettings(**_required(r, endpoint=str, model=str),
-                                          **_given(r, timeout_s=float, retry_backoff_s=float))
+            remote = RemoteEngineSettings(
+                endpoint=_require(r, "endpoint", str),
+                model=_require(r, "model", str),
+                **_given(r, timeout_s=float, retry_backoff_s=float),
+            )
 
         return ServiceConfig(
             cache=cache,

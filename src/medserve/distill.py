@@ -103,16 +103,21 @@ class LogitsBatch:
         n, v = self.student_logits.shape
         if self.teacher_logits.shape != (n, v):
             raise ValueError("student/teacher logits shapes differ")
-        if self.labels.shape != (n,):
-            raise ValueError("labels must be one int per row")
-        if np.any(self.labels < 0) or np.any(self.labels >= v):
-            raise ValueError("labels out of vocabulary range")
         if self.student_hidden.shape != self.teacher_hidden.shape:
             raise ValueError("hidden states must be pre-projected to equal width")
-        for arr in (self.student_logits, self.teacher_logits,
-                    self.student_hidden, self.teacher_hidden):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite values in batch")
+        _check_rows(self.labels, v, self.student_logits, self.teacher_logits,
+                    self.student_hidden, self.teacher_hidden)
+
+
+def _check_rows(labels: np.ndarray, v: int, *arrays: np.ndarray) -> None:
+    """Raise ValueError unless labels holds one id in [0, v) per row of the
+    arrays and every array is finite."""
+    if labels.shape != (len(arrays[0]),):
+        raise ValueError("labels must be one int per row")
+    if np.any(labels < 0) or np.any(labels >= v):
+        raise ValueError("labels out of vocabulary range")
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise ValueError("non-finite values in batch")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -122,35 +127,40 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_grad(
-    batch: LogitsBatch,
+    s_logits: np.ndarray,
+    t_logits: np.ndarray,
+    labels: np.ndarray,
+    s_hidden: np.ndarray,
+    t_hidden: np.ndarray,
     entities: list[Entity],
     weights: DistillLossWeights,
     temperature: float,
 ) -> tuple[float, tuple[float, float, float, float], np.ndarray]:
-    """(total, (ce, kl, mse, entity), d total / d student logits)."""
+    """(total, (ce, kl, mse, entity), d total / d student logits) for the
+    arrays of a LogitsBatch."""
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    n, v = batch.student_logits.shape
+    n, v = s_logits.shape
     rows = np.arange(n)
-    scaled = batch.student_logits / temperature
-    p = _softmax(batch.student_logits)
+    scaled = s_logits / temperature
+    p = _softmax(s_logits)
     s = _softmax(scaled)
-    q = _softmax(batch.teacher_logits / temperature)
-    p_teacher = _softmax(batch.teacher_logits)
+    q = _softmax(t_logits / temperature)
+    p_teacher = _softmax(t_logits)
 
-    ce = float(-np.log(np.clip(p[rows, batch.labels], 1e-300, None)).mean())
+    ce = float(-np.log(np.clip(p[rows, labels], 1e-300, None)).mean())
 
     log_s = scaled - scaled.max(axis=1, keepdims=True)
     log_s = log_s - np.log(np.exp(log_s).sum(axis=1, keepdims=True))
     log_q = np.log(np.clip(q, 1e-300, None))
     kl = float((q * (log_q - log_s)).sum(axis=1).mean())
 
-    mse = float(((batch.student_hidden - batch.teacher_hidden) ** 2).mean())
+    mse = float(((s_hidden - t_hidden) ** 2).mean())
 
     grad = np.zeros((n, v))
     if weights.ce:
         onehot = np.zeros((n, v))
-        onehot[rows, batch.labels] = 1.0
+        onehot[rows, labels] = 1.0
         grad += weights.ce * (p - onehot) / n
     if weights.kl:
         grad += weights.kl * (s - q) / (n * temperature)
@@ -185,7 +195,10 @@ def distill_loss(
     Returns (total, (ce, kl, mse, entity)) with the components unweighted.
     KL direction is teacher || student at the shared temperature.
     """
-    total, parts, _ = _loss_and_grad(batch, entities, weights, temperature)
+    total, parts, _ = _loss_and_grad(
+        batch.student_logits, batch.teacher_logits, batch.labels,
+        batch.student_hidden, batch.teacher_hidden, entities, weights, temperature,
+    )
     return total, parts
 
 
@@ -200,7 +213,10 @@ def distill_loss_grad_logits(
     The hidden-MSE term has no logits dependence and contributes nothing
     here; its hidden-state gradient lives in the training loop.
     """
-    return _loss_and_grad(batch, entities, weights, temperature)[2]
+    return _loss_and_grad(
+        batch.student_logits, batch.teacher_logits, batch.labels,
+        batch.student_hidden, batch.teacher_hidden, entities, weights, temperature,
+    )[2]
 
 
 def grid_search_lambdas(candidates, evaluate) -> DistillLossWeights:
@@ -364,15 +380,17 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
         TrainingSample(features=x[i], target=int(labels_all[i]), complexity=float(entropy[i]))
         for i in range(config.dataset_size)
     ]
-    # The teacher is frozen, so each batch's outputs are built and checked once,
-    # standing in for the student's, which each step puts in and checks.
+    # The teacher is frozen, so each batch's teacher outputs are built and
+    # checked once. The student's outputs have their shapes by construction;
+    # each step checks that they are finite.
     batches = []
     for batch_samples in make_progressive_batches(samples, config.batch_size):
         xb = np.stack([s.features for s in batch_samples])
         t_hidden, t_logits = teacher.forward(xb)
         t_hidden = t_hidden @ proj.T
         labels = np.array([s.target for s in batch_samples])
-        batches.append((xb, LogitsBatch(t_logits, t_logits, labels, t_hidden, t_hidden)))
+        _check_rows(labels, config.num_classes, t_logits, t_hidden)
+        batches.append((xb, labels, t_hidden, t_logits))
 
     entities = [
         Entity(name=f"class-{c}", token_ids=(c,), weight=2.0)
@@ -391,16 +409,16 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
     # non-finite outcome is detected and reported as divergence.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(config.steps):
-            xb, batch = batches[step % len(batches)]
+            xb, labels, t_hidden, t_logits = batches[step % len(batches)]
             s_hidden, s_logits = student.forward(xb)
             if not (np.all(np.isfinite(s_logits)) and np.all(np.isfinite(s_hidden))):
                 return DistillReport(
                     steps=records, initial_kl=initial_kl, final_kl=math.inf,
                     diverged=True, diverged_step=step,
                 )
-            batch.student_logits, batch.student_hidden = s_logits, s_hidden
             total, (ce, kl, mse, ent), g_logits = _loss_and_grad(
-                batch, entities, config.weights, config.temperature
+                s_logits, t_logits, labels, s_hidden, t_hidden,
+                entities, config.weights, config.temperature,
             )
             lr = lr_at(schedule, step)
             records.append(StepRecord(step, lr, total, ce, kl, mse, ent))
@@ -412,7 +430,7 @@ def train_toy_distill(config: ToyDistillConfig) -> DistillReport:
                 )
 
             g_hidden = g_logits @ student.w2
-            g_hidden += config.weights.mse * 2.0 * (s_hidden - batch.teacher_hidden) / s_hidden.size
+            g_hidden += config.weights.mse * 2.0 * (s_hidden - t_hidden) / s_hidden.size
             g_pre = g_hidden * (1.0 - s_hidden ** 2)
 
             grads = [

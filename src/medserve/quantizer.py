@@ -534,7 +534,7 @@ def _layer_table(path, header) -> list[dict]:
     """The header's layer entries, each checked against the format: a name
     no other entry has, 4, 8 or 16 bits, a shape of non-negative integers,
     and integer segment lengths equal to what those and the block size give."""
-    typed_fields(header, {"layers": list[dict[str, object]]}, f"{path}: header")
+    typed_fields(header, {"layers": list[object]}, f"{path}: header")
     names = set()
     for i, entry in enumerate(header["layers"]):
         typed_fields(entry, {"name": str}, f"{path}: layer {i}")

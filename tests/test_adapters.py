@@ -54,6 +54,11 @@ class TestLoraForward:
         inc2 = lora_forward(w0, a2, x) - w0 @ x
         assert np.allclose(inc2, 2.0 * inc1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            LoraAdapter(b=np.ones((3, 1)), a=np.ones((1, 2)), rank=1, alpha=alpha)
+
     def test_dimension_mismatch(self):
         adapter = LoraAdapter(b=np.ones((3, 1)), a=np.ones((1, 2)), rank=1, alpha=1)
         with pytest.raises(DimensionError):
@@ -288,6 +293,8 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("change, message", [
         (lambda doc: doc.pop("alpha"), "adapter container has no 'alpha'"),
+        (lambda doc: doc.update(alpha=math.nan), r"NaN at \$\['alpha'\] is not a JSON number"),
+        (lambda doc: doc.update(alpha=math.inf), r"Infinity at \$\['alpha'\] is not a JSON number"),
         (lambda doc: doc.update(alpha=0.0), "alpha must be positive and finite"),
         (lambda doc: doc.update(alpha=-1.0), "alpha must be positive and finite"),
         (lambda doc: doc.update(b=[[1.0, 2.0], [3.0]]), "inhomogeneous"),
