@@ -139,23 +139,23 @@ def _cmd_place(args) -> int:
     from .jsonio import read_json_records
 
     layers_doc = read_json_records(args.layers, {
-        "id": object, "order": int, "flops": float, "weight_bytes": int,
+        "id": str, "order": int, "flops": float, "weight_bytes": int,
         "activation_bytes": int,
     })
     devices_doc = read_json_records(args.devices, {
-        "id": object, "memory_bytes": int, "throughput_flops": float,
+        "id": str, "memory_bytes": int, "throughput_flops": float,
         "bandwidth_bytes": float,
     })
     layers = [
         LayerProfile(
-            id=str(l["id"]), order=l["order"], flops=l["flops"],
+            id=l["id"], order=l["order"], flops=l["flops"],
             weight_bytes=l["weight_bytes"], activation_bytes=l["activation_bytes"],
         )
         for l in layers_doc
     ]
     devices = [
         DeviceSpec(
-            id=str(d["id"]), memory_bytes=d["memory_bytes"],
+            id=d["id"], memory_bytes=d["memory_bytes"],
             throughput_flops=d["throughput_flops"], bandwidth_bytes=d["bandwidth_bytes"],
         )
         for d in devices_doc

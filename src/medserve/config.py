@@ -43,8 +43,6 @@ class CacheSettings:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        if not (self.disk_dir is None or isinstance(self.disk_dir, str)):
-            raise ValueError(f"cache disk_dir must be a string or null, not {self.disk_dir!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,8 @@ def _parse(doc: dict) -> ServiceConfig:
         cache = CacheSettings(
             capacity=_require(cache_doc, "capacity", int),
             similarity=SimilarityConfig(**_given(cache_doc, alpha=float, tau=float)),
-            disk_dir=cache_doc.get("disk_dir"),
+            disk_dir=None if cache_doc.get("disk_dir") is None
+            else _typed(cache_doc, "disk_dir", str),
         )
 
         quant_doc = _section(doc, "quantization")
@@ -167,9 +166,6 @@ def _parse(doc: dict) -> ServiceConfig:
             mean_output_tokens=_require(wl_doc, "mean_output_tokens", float),
         )
 
-        engines_doc = _require(doc, "engines")
-        if not isinstance(engines_doc, list) or not all(isinstance(e, dict) for e in engines_doc):
-            raise ConfigError("config key 'engines' must be a JSON list of objects")
         engines = tuple(
             EngineProfile(
                 id=_require(e, "id", str),
@@ -177,7 +173,7 @@ def _parse(doc: dict) -> ServiceConfig:
                 request_overhead_s=_require(e, "request_overhead_s", float),
                 memory_bytes=_require(e, "memory_bytes", int),
             )
-            for e in engines_doc
+            for e in _require(doc, "engines", list[dict[str, object]])
         )
         if not engines:
             raise ConfigError("config key 'engines' must list at least one engine")
@@ -205,7 +201,7 @@ def _parse(doc: dict) -> ServiceConfig:
         mock = MockEngine(**_given(_section(doc, "mock_engine"),
                                    seed=int, mean_delay_ms=float))
         remote = None
-        if doc.get("remote_engine"):
+        if doc.get("remote_engine") is not None:
             r = _section(doc, "remote_engine")
             remote = RemoteEngineSettings(
                 endpoint=_require(r, "endpoint", str),

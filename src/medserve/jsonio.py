@@ -70,6 +70,8 @@ def typed(value, kind):
     list[kind] and dict[str, kind] a list and an object of values of kind,
     object any value. Bools and numeric strings are neither integers nor
     numbers. Raises ValueError naming the refused value and its object key."""
+    if kind is object or (kind in (int, str) and type(value) is kind):
+        return value
     if get_origin(kind) is list:
         if not isinstance(value, list):
             raise ValueError(f"{value!r} is not a JSON list")
@@ -78,8 +80,6 @@ def typed(value, kind):
         if not isinstance(value, dict):
             raise ValueError(f"{value!r} is not a JSON object")
         typed_fields(value, dict.fromkeys(value, get_args(kind)[1]), "key")
-        return value
-    if kind is object or (kind in (int, str) and type(value) is kind):
         return value
     if kind is float and type(value) in (int, float):
         try:

@@ -457,14 +457,18 @@ def synthetic_7b_manifest(blocks: int = 32, hidden: int = 4096,
 
 def load_manifest(path) -> ModelManifest:
     """Read a manifest JSON file: [{"name", "class", "shape"}, ...]."""
-    raw = read_json_records(path, {"name": object, "class": object, "shape": list[int]})
+    raw = read_json_records(path, {"name": str, "class": str, "shape": list[int]})
     layers = []
     for i, item in enumerate(raw):
         if any(dim < 0 for dim in item["shape"]):
             raise ValueError(f"{path}: entry {i} 'shape': {item['shape']} has a negative dim")
+        try:
+            layer_class = LayerClass(item["class"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {i} 'class': {exc}") from None
         layers.append(LayerSpec(
             name=item["name"],
-            layer_class=LayerClass(item["class"]),
+            layer_class=layer_class,
             shape=tuple(item["shape"]),
         ))
     return ModelManifest(tuple(layers))
@@ -524,7 +528,7 @@ def _write_layer(fh, spec: LayerSpec, bits: int, block_size: int,
             raise ValueError(f"{spec.name}: weight is non-finite or beyond "
                              f"the float16 range (+-{F16_MAX:g})")
         fh.write(w.astype("<f2").tobytes())
-    else:
+    elif w.size:  # an empty layer has no codes and no scales
         qt = quantize_tensor(w, "nf4" if bits == 4 else "int8", block_size)
         fh.write(qt.data)
         fh.write(qt.scales.astype("<f4").tobytes())
@@ -542,16 +546,12 @@ def _layer_table(path, header) -> list[dict]:
         if entry["name"] in names:
             raise ValueError(f"{where}: name repeats an earlier entry's")
         names.add(entry["name"])
-        missing = sorted({"bits", "shape", "codes_len", "scales_len"} - entry.keys())
-        if missing:
-            raise ValueError(f"{where}: entry has no {', '.join(missing)}")
-        for key in ("codes_len", "scales_len"):
-            if type(entry[key]) is not int:
-                raise ValueError(f"{where}: {key} {entry[key]!r} is not an integer")
+        typed_fields(entry, {"bits": int, "shape": list[int], "codes_len": int,
+                             "scales_len": int}, where)
         bits, shape = entry["bits"], entry["shape"]
-        if type(bits) is not int or bits not in (4, 8, 16):
+        if bits not in (4, 8, 16):
             raise ValueError(f"{where}: bits {bits!r} is not 4, 8 or 16")
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        if any(d < 0 for d in shape):
             raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
         block_size = header.get("block_size")
         if bits != 16 and not (type(block_size) is int and block_size >= 1):

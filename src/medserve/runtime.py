@@ -1,7 +1,7 @@
 """Inference-execution layer.
 
 Holds the shape-bucketed compiled-plan cache (graph capture abstracted to an
-opaque token, built once per bucketed shape with single-flight semantics),
+opaque token, built once per bucketed shape under one lock),
 a tiled streaming attention kernel with its naive full-matrix oracle, a
 token-tick continuous-batching simulator, linear engine scoring/selection
 under a hard memory-feasibility filter, and the two-way deployment-mode
@@ -46,40 +46,26 @@ class PlanCacheStats:
 class PlanCache:
     """Compiled-plan tokens keyed by bucketed shape; one build per key.
 
-    Concurrent misses on the same key are single-flighted: one caller
-    builds, the rest wait for the result. A failed build leaves the key
+    A miss builds under the cache's one lock, so concurrent misses on a key
+    build it once, and different keys do not build concurrently either;
+    build must not call back into the cache. A failed build leaves the key
     uncached so a later call can retry.
     """
 
     def __init__(self):
         self._plans: dict[ShapeKey, object] = {}
-        self._inflight: dict[ShapeKey, threading.Event] = {}
         self._lock = threading.Lock()
         self.stats = PlanCacheStats()
 
     def get_or_build(self, key: ShapeKey, build):
-        while True:
-            with self._lock:
-                if key in self._plans:
-                    self.stats.hits += 1
-                    return self._plans[key]
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
-                    self.stats.misses += 1
-                    break
-            event.wait()
-        try:
-            plan = build(key)
-        except BaseException:
-            with self._lock:
-                self._inflight.pop(key).set()
-            raise
         with self._lock:
-            self._plans[key] = plan
-            self.stats.builds += 1
-            self._inflight.pop(key).set()
-        return plan
+            if key in self._plans:
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
+                self._plans[key] = build(key)
+                self.stats.builds += 1
+            return self._plans[key]
 
     def warm_up(self, keys, build):
         """Pre-populate plans for an expected shape list."""

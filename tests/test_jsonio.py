@@ -140,6 +140,52 @@ class TestTyped:
             typed(value, float)
 
 
+_MANIFEST = {"name": "a", "class": "attention", "shape": [2, 2]}
+_LAYER = {"id": "l0", "order": 0, "flops": 1e9, "weight_bytes": 10, "activation_bytes": 1}
+_DEVICE = {"id": "d0", "memory_bytes": 100, "throughput_flops": 1e9, "bandwidth_bytes": 1e8}
+_CONFIG = json.loads(default_config_path().read_text())
+_NOT_AN_OBJECT = "config section 'remote_engine' must be a JSON object"
+
+
+@pytest.mark.parametrize("command, docs, code, fault", [
+    (["quantize"], {"manifest": [{**_MANIFEST, "name": 5}]}, 3,
+     "manifest.json: entry 0 'name': 5 is not a JSON string"),
+    (["quantize"], {"manifest": [{**_MANIFEST, "name": True}, {**_MANIFEST, "name": 1}]}, 3,
+     "manifest.json: entry 0 'name': True is not a JSON string"),
+    (["quantize"], {"manifest": [{**_MANIFEST, "class": "mlp"}]}, 3,
+     "manifest.json: entry 0 'class': 'mlp' is not a valid LayerClass"),
+    (["quantize"], {"manifest": [{**_MANIFEST, "class": ["x"]}]}, 3,
+     "manifest.json: entry 0 'class': ['x'] is not a JSON string"),
+    (["place"], {"layers": [{**_LAYER, "id": 5}], "devices": [_DEVICE]}, 3,
+     "layers.json: entry 0 'id': 5 is not a JSON string"),
+    (["place"], {"layers": [{**_LAYER, "id": [1]}], "devices": [_DEVICE]}, 3,
+     "layers.json: entry 0 'id': [1] is not a JSON string"),
+    (["place"], {"layers": [_LAYER], "devices": [{**_DEVICE, "id": None}]}, 3,
+     "devices.json: entry 0 'id': None is not a JSON string"),
+    (["classify", "dose of aspirin"], {"config": {**_CONFIG, "remote_engine": {}}}, 2,
+     "missing required config key 'endpoint'"),
+    *((["classify", "dose of aspirin"], {"config": {**_CONFIG, "remote_engine": value}}, 2,
+       _NOT_AN_OBJECT) for value in ([], False, 0, "")),
+])
+def test_field_of_wrong_type_refused(tmp_path, capsys, command, docs, code, fault):
+    """A manifest name or class, a placement id, or a remote_engine that is
+    not an object or null, is refused with its key named: never cast to a
+    string, and never read as absent."""
+    argv = list(command)
+    for flag, doc in docs.items():
+        path = tmp_path / f"{flag}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{flag}", str(path)]
+    if command == ["quantize"]:
+        weights = tmp_path / "weights.bin"
+        weights.write_bytes(bytes(16 * len(docs["manifest"])))  # 4 float32 per layer
+        argv += ["--weights", str(weights), "--out", str(tmp_path / "model.msq")]
+    inputs = sorted(tmp_path.iterdir())
+    assert cli_main(argv) == code
+    assert fault in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs  # no checkpoint, not even a temporary one
+
+
 def test_one_json_boundary():
     """Only jsonio decodes JSON, and no module imports another's private name."""
     decoders = ("load", "loads", "JSONDecoder")
