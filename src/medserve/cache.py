@@ -2,23 +2,28 @@
 
 Entries live in one store, a list of rows indexed by query text in
 first-insert (log) order; the memory tier is a `capacity`-bounded LRU order
-over its keys, and a stored entry outside that order is a disk-tier entry. Lookups try an exact text
-match first, then the best semantic match (memory before disk) whose blended
-similarity (token-set Jaccard plus cosine over feature-hashed bag-of-token
+over its keys, and a stored entry outside that order is a disk-tier entry.
+Lookups try an exact text match first, then the best semantic match (memory
+before disk) whose blended similarity (token-set Jaccard plus cosine over feature-hashed bag-of-token
 embeddings) clears the acceptance threshold. An entry inserted while the log
 is usable is persisted, so its memory eviction loses nothing; one inserted
-in memory-only or degraded mode is never written and is dropped on eviction.
-Recovery after a crash replays the longest consistent prefix of the log.
+in memory-only or degraded mode, or while the writer queue is full, is never
+written and is dropped on eviction. Recovery after a crash replays the
+longest consistent prefix of the log.
 
-Each stored entry's embedding is also one float32 row of a matrix, in log
-order. A semantic lookup scores every row with one matrix-vector product and
-rescores, exactly, only the rows whose cosine could still clear the
-threshold: since Jaccard is at most 1, a blend of at least tau needs a
-cosine of at least (tau - alpha) / (1 - alpha), whatever that cut's sign.
-With alpha = 1 cosine has no weight, and every row is rescored.
+A stored entry keeps only what a lookup returns or scores with: its query,
+its token set and its response. Its embedding is held once, as one float32
+row of a matrix, in log order: a reopened entry of 8 tokens holds about
+1.8 KB of RAM, against about 420 bytes of log. A semantic lookup scores
+every row with one matrix-vector product and rescores, exactly, only the
+rows whose cosine could still clear the threshold: since Jaccard is at
+most 1, a blend of at least tau needs a cosine of at least
+(tau - alpha) / (1 - alpha), whatever that cut's sign. With alpha = 1
+cosine has no weight, and every row is rescored.
 
-Disk appends run on a background writer thread; inserts are acknowledged
-after the memory write and a close() flush barrier drains the queue.
+An insert encodes its log record (a CacheEntry) before it is acknowledged;
+a background writer thread appends the queued records, at most
+WRITE_QUEUE_SIZE of them, and a close() flush barrier drains the queue.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +56,9 @@ _RECORD_HEADER = struct.Struct("<I")
 # cut itself adds under 1e-6; 1e-4 covers both many times over.
 PRUNE_MARGIN = 1e-4
 _INITIAL_ROWS = 1024
+# Encoded records waiting for the writer thread (about 420 bytes each at 8
+# tokens); an insert that finds the queue full is kept unlogged.
+WRITE_QUEUE_SIZE = 1024
 
 
 def jaccard(s1, s2) -> float:
@@ -136,28 +145,20 @@ class QueryFeatures:
 
 @dataclass
 class CacheEntry:
+    """One disk log record. An insert builds one for the writer and the log
+    yields them on open; the store keeps none."""
+
     query: str
-    tokens: frozenset[str]
-    embedding: np.ndarray
     response: str
     category: str
+    embedding: np.ndarray
     timestamp: float
-    hits: int = 0
 
     @classmethod
     def build(cls, query: str, response: str, category: str,
-              timestamp: float | None = None, tokens: frozenset[str] | None = None,
-              embedding: np.ndarray | None = None) -> "CacheEntry":
-        """`tokens` and `embedding`, when given, must be the query's token set
-        and `embed(query)`."""
-        return cls(
-            query=query,
-            tokens=frozenset(tokenize(query)) if tokens is None else tokens,
-            embedding=embed(query) if embedding is None else embedding,
-            response=response,
-            category=category,
-            timestamp=time.time() if timestamp is None else timestamp,
-        )
+              timestamp: float | None = None) -> "CacheEntry":
+        return cls(query, response, category, embed(query),
+                   time.time() if timestamp is None else timestamp)
 
 
 def encode_record(entry: CacheEntry) -> bytes:
@@ -177,8 +178,8 @@ def encode_record(entry: CacheEntry) -> bytes:
 
 
 def decode_records(blob: bytes) -> tuple[list[CacheEntry], int]:
-    """Parse the longest consistent prefix; returns (entries, valid_bytes)."""
-    entries = []
+    """Parse the longest consistent prefix; returns (records, valid_bytes)."""
+    records = []
     offset = 0
     while True:
         if offset + 4 > len(blob):
@@ -189,11 +190,11 @@ def decode_records(blob: bytes) -> tuple[list[CacheEntry], int]:
         if end > len(blob):
             break
         try:
-            entries.append(_decode_payload(blob[start:end]))
+            records.append(_decode_payload(blob[start:end]))
         except (struct.error, UnicodeDecodeError, ValueError):
             break
         offset = end
-    return entries, offset
+    return records, offset
 
 
 def _decode_payload(payload: bytes) -> CacheEntry:
@@ -215,13 +216,10 @@ def _decode_payload(payload: bytes) -> CacheEntry:
     emb_bytes = EMBED_DIM * 4
     if pos + emb_bytes + 8 != len(payload):
         raise ValueError("record payload length mismatch")
-    embedding = np.frombuffer(payload[pos:pos + emb_bytes], dtype="<f4").copy()
-    pos += emb_bytes
-    (timestamp,) = struct.unpack_from("<d", payload, pos)
-    return CacheEntry(
-        query=query, tokens=frozenset(tokenize(query)), embedding=embedding,
-        response=response, category=category, timestamp=timestamp,
-    )
+    # a view of the payload: the store copies it into its matrix row
+    embedding = np.frombuffer(payload, dtype="<f4", count=EMBED_DIM, offset=pos)
+    (timestamp,) = struct.unpack_from("<d", payload, pos + emb_bytes)
+    return CacheEntry(query, response, category, embedding, timestamp)
 
 
 class DiskLog:
@@ -238,17 +236,18 @@ class DiskLog:
         path = Path(directory) / "cache.log"
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = path.read_bytes() if path.exists() else b""
-        entries, valid = decode_records(blob)
+        records, valid = decode_records(blob)
         disk_log = cls(path)
         # A partial tail record can never be completed; drop it now so the
         # next append lands on a record boundary.
         if valid < len(blob):
             disk_log._fh.truncate(valid)
         disk_log._fh.seek(0, 2)
-        return disk_log, entries
+        return disk_log, records
 
-    def append(self, entry: CacheEntry):
-        self._fh.write(encode_record(entry))
+    def append(self, record: bytes):
+        """Write one encoded record (see encode_record)."""
+        self._fh.write(record)
         self._fh.flush()
 
     def close(self):
@@ -266,10 +265,21 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CacheHit:
+    """A lookup's answer: the stored response, the tier it was found in
+    ("memory" or "disk") and its blended similarity to the query (1.0 for an
+    exact match)."""
+
     response: str
-    tier: str  # "memory" | "disk"
+    tier: str
     similarity: float
-    category: str
+
+
+class _Entry(NamedTuple):
+    """What the store keeps of an entry; its embedding is its matrix row."""
+
+    query: str
+    tokens: frozenset[str]
+    response: str
 
 
 _CLOSE = object()
@@ -291,33 +301,37 @@ class TwoLevelCache:
         self._lru: OrderedDict[str, int] = OrderedDict()
         self._ticks = itertools.count()
         self._unlogged: set[str] = set()
-        # The store: _row_of maps each query, in first-insert (log) order, to
-        # its row; row i of the matrix is the embedding of _row_entries[i]. A
-        # dropped entry leaves None in its row until _compact renumbers.
-        self._matrix = np.zeros((_INITIAL_ROWS, EMBED_DIM), dtype=np.float32)
-        self._row_entries: list[CacheEntry | None] = []
-        self._row_of: dict[str, int] = {}
         # A row whose cosine is below the cut has a blend below tau, whatever
         # the cut's sign; when alpha is 1, cosine has no weight and no row is cut.
         alpha, tau = self.config.alpha, self.config.tau
         self._cut = (tau - alpha) / (1.0 - alpha) - PRUNE_MARGIN if alpha < 1.0 else -np.inf
         self._log: DiskLog | None = None
         self.degraded = disk_dir is None
-        self._queue: queue.Queue = queue.Queue()
+        self._queue: queue.Queue = queue.Queue(WRITE_QUEUE_SIZE)
         self._writer: threading.Thread | None = None
+        records = []
         if disk_dir is not None:
             try:
-                self._log, entries = DiskLog.open(disk_dir)
+                self._log, records = DiskLog.open(disk_dir)
             except OSError as exc:
                 log.warning("disk tier unavailable (%s); running memory-only", exc)
                 self.degraded = True
-            else:
-                for entry in entries:
-                    self._store(entry)
-                self._writer = threading.Thread(
-                    target=self._writer_loop, name="cache-writer", daemon=True
-                )
-                self._writer.start()
+        # The store: _row_of maps each query, in first-insert (log) order, to
+        # its row; row i of the matrix is the embedding of _row_entries[i],
+        # which no entry holds itself. A dropped entry leaves None in its row
+        # until _compact renumbers. A reopened log's records fit without a grow.
+        self._matrix = np.zeros((max(_INITIAL_ROWS, len(records)), EMBED_DIM),
+                                dtype=np.float32)
+        self._row_entries: list[_Entry | None] = []
+        self._row_of: dict[str, int] = {}
+        for record in records:
+            self._store(record.query, frozenset(tokenize(record.query)),
+                        record.response, record.embedding)
+        if self._log is not None:
+            self._writer = threading.Thread(
+                target=self._writer_loop, name="cache-writer", daemon=True
+            )
+            self._writer.start()
 
     # -- write path ---------------------------------------------------
 
@@ -340,36 +354,50 @@ class TwoLevelCache:
         """Store a response; acknowledged after the memory write.
 
         Re-inserting an identical (query, response) pair is a no-op beyond
-        recency: the hit count survives and the log does not grow.
-        `features`, when given, are the query's (as passed to `lookup`).
+        recency: the log does not grow. The record is encoded first, so text
+        that UTF-8 cannot encode (an unpaired surrogate) raises ValueError
+        and stores nothing. `features`, when given, are the query's (as
+        passed to `lookup`).
         """
         with self._lock:
             row = self._row_of.get(query)
             if row is None or self._row_entries[row].response != response:
                 features = features or QueryFeatures(query)
-                entry = CacheEntry.build(query, response, category,
-                                         tokens=features.token_set,
-                                         embedding=features.embedding)
-                self._store(entry)
+                record = encode_record(CacheEntry(query, response, category,
+                                                  features.embedding, time.time()))
+                self._store(query, features.token_set, response, features.embedding)
                 self.stats.inserts += 1
-                if not self.degraded:
-                    self._queue.put(entry)
+                if self._queue_record(record):
+                    self._unlogged.discard(query)
                 else:
                     self._unlogged.add(query)
             self._touch(query)
 
-    def _store(self, entry: CacheEntry):
+    def _queue_record(self, record: bytes) -> bool:
+        """Queue a record for the writer; False, queueing nothing, when
+        degraded or when the queue is full."""
+        if self.degraded:
+            return False
+        try:
+            self._queue.put_nowait(record)
+        except queue.Full:
+            return False
+        return True
+
+    def _store(self, query: str, tokens: frozenset[str], response: str,
+               embedding: np.ndarray):
         """Put an entry in the store; a query new to it gets the next row."""
-        row = self._row_of.get(entry.query)
+        entry = _Entry(query, tokens, response)
+        row = self._row_of.get(query)
         if row is None:
             row = len(self._row_entries)
             if row == len(self._matrix):
                 self._grow()
-            self._row_of[entry.query] = row
+            self._row_of[query] = row
             self._row_entries.append(entry)
         else:
             self._row_entries[row] = entry
-        self._matrix[row] = entry.embedding
+        self._matrix[row] = embedding
 
     def _drop(self, query: str):
         """Remove an entry from the store; compact once most rows are dead."""
@@ -415,49 +443,49 @@ class TwoLevelCache:
             row = self._row_of.get(query)
             if row is not None:
                 tier = "memory" if query in self._lru else "disk"
-                return self._hit(self._row_entries[row], tier, 1.0)
+                return self._hit(row, 1.0, tier)
             features = features or QueryFeatures(query)
             tokens, vec = features.token_set, features.embedding
-            for tier, entries in zip(("memory", "disk"), self._candidates(vec)):
-                best = self._best_semantic(entries, tokens, vec)
+            for tier, rows in zip(("memory", "disk"), self._candidates(vec)):
+                best = self._best_semantic(rows, tokens, vec)
                 if best is not None:
-                    return self._hit(best[0], tier, best[1])
+                    return self._hit(*best, tier)
             self.stats.misses += 1
             return None
 
-    def _candidates(self, vec: np.ndarray) -> tuple[list, list]:
-        """The entries whose blend with `vec` can reach tau: memory-tier ones
-        in LRU order, then disk-tier ones in log order."""
+    def _candidates(self, vec: np.ndarray) -> tuple[list[int], list[int]]:
+        """The rows whose blend with `vec` can reach tau: memory-tier ones in
+        LRU order, then disk-tier ones in log order."""
         used = len(self._row_entries)
         passing = np.dot(self._matrix[:used], vec) >= self._cut
         memory, disk = [], []
         for row in np.flatnonzero(passing).tolist():
             entry = self._row_entries[row]
             if entry is not None:
-                (memory if entry.query in self._lru else disk).append(entry)
-        memory.sort(key=lambda e: self._lru[e.query])
+                (memory if entry.query in self._lru else disk).append(row)
+        memory.sort(key=lambda row: self._lru[self._row_entries[row].query])
         return memory, disk
 
-    def _best_semantic(self, entries, tokens, vec):
-        best_entry, best_sim = None, -1.0
+    def _best_semantic(self, rows, tokens, vec):
+        """The first best-scoring of `rows` and its blend, if that clears tau."""
+        best_row, best_sim = None, -1.0
         alpha = self.config.alpha
-        for entry in entries:
-            sim = _blend(alpha, tokens, vec, entry.tokens, entry.embedding)
+        for row in rows:
+            sim = _blend(alpha, tokens, vec, self._row_entries[row].tokens, self._matrix[row])
             if sim > best_sim:
-                best_entry, best_sim = entry, sim
-        if best_entry is not None and best_sim >= self.config.tau:
-            return best_entry, best_sim
+                best_row, best_sim = row, sim
+        if best_row is not None and best_sim >= self.config.tau:
+            return best_row, best_sim
         return None
 
-    def _hit(self, entry: CacheEntry, tier: str, sim: float) -> CacheHit:
-        entry.hits += 1
+    def _hit(self, row: int, sim: float, tier: str) -> CacheHit:
+        entry = self._row_entries[row]
         if tier == "memory":
             self.stats.memory_hits += 1
         else:
             self.stats.disk_hits += 1
         self._touch(entry.query)
-        return CacheHit(response=entry.response, tier=tier, similarity=sim,
-                        category=entry.category)
+        return CacheHit(response=entry.response, tier=tier, similarity=sim)
 
     # -- lifecycle ------------------------------------------------------
 

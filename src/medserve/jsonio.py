@@ -1,20 +1,24 @@
 """The JSON input boundary: every JSON document medserve reads is decoded by
 loads and typed by typed. RFC 8259 §6 allows no NaN or Infinity, but
 Python's json reads the literals NaN, Infinity and -Infinity, and 1e400 as
-inf: loads refuses the literals, and float typing refuses inf.
+inf: loads refuses the literals, and float typing refuses inf. I-JSON (RFC
+7493 §2.1) allows no unpaired surrogate either, which Python's json reads
+from an escape such as "\\ud800" into a string UTF-8 cannot encode: loads
+refuses it too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import get_args, get_origin
 
 
 class InvalidJSON(ValueError):
-    """Bytes that are not one UTF-8 JSON text of finite numbers; also what
-    the decoder raises, and the locator returns, at NaN or Infinity."""
+    """Bytes that are not one UTF-8 I-JSON text; also what the decoder
+    raises, and the locator returns, at NaN or Infinity."""
 
 
 def _refuse(name: str):
@@ -24,16 +28,28 @@ def _refuse(name: str):
 # Built once: a keyword to json.loads would build a decoder on every call.
 _DECODER = json.JSONDecoder(parse_constant=_refuse)
 _LOCATOR = json.JSONDecoder(parse_constant=InvalidJSON)
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # decoded, a paired escape is one code point
 
 
-def _trail(node, where="$"):
-    """The JSONPath (RFC 9535) of the first literal in node, or None."""
-    if isinstance(node, InvalidJSON):
+def _literal(node) -> bool:
+    return isinstance(node, InvalidJSON)
+
+
+def _unpaired(node) -> bool:
+    return isinstance(node, str) and _SURROGATE.search(node) is not None
+
+
+def _trail(node, bad, where="$"):
+    """The JSONPath (RFC 9535) of the first value or object key in node that
+    bad accepts (a key by its member's path), or None."""
+    if bad(node):
         return where
     pairs = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
         node, list) else ()
     for key, value in pairs:
-        if (found := _trail(value, f"{where}[{key!r}]")) is not None:
+        path = f"{where}[{key!r}]"
+        found = path if bad(key) else _trail(value, bad, path)
+        if found is not None:
             return found
     return None
 
@@ -41,14 +57,19 @@ def _trail(node, where="$"):
 def loads(data: bytes):
     """The JSON value in the UTF-8 bytes data. Raises InvalidJSON for bytes
     that are not UTF-8 or not JSON, nest past the recursion limit, or hold a
-    NaN, Infinity or -Infinity, which it names with the keys leading to it."""
+    NaN, Infinity or -Infinity or a string with an unpaired surrogate, which
+    it names with the keys leading to it."""
     try:
         text = data.decode("utf-8")
         try:
-            return _DECODER.decode(text)
+            value = _DECODER.decode(text)
         except InvalidJSON as exc:  # a literal: decode again to find it
-            where = _trail(_LOCATOR.decode(text)) or "$"
+            where = _trail(_LOCATOR.decode(text), _literal) or "$"
             raise ValueError(f"{exc} at {where} is not a JSON number") from None
+        # only a \u escape decodes to a surrogate
+        if "\\u" in text and (where := _trail(value, _unpaired)) is not None:
+            raise ValueError(f"string at {where} holds an unpaired surrogate")
+        return value
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InvalidJSON(str(exc)) from None
 

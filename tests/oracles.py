@@ -18,6 +18,7 @@ and gradient, each taking its own softmaxes.
 
 import math
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from medserve.cache import (
     SimilarityConfig,
     cosine,
     embed,
+    encode_record,
     jaccard,
 )
 from medserve.placement import build_affinity
@@ -281,6 +283,20 @@ def branch_and_bound_placement(layers, devices) -> list[int] | None:
     return best_assign
 
 
+@dataclass
+class _OracleEntry:
+    """An entry with its own token set and embedding."""
+
+    query: str
+    tokens: frozenset
+    embedding: np.ndarray
+    response: str
+
+    @classmethod
+    def of(cls, query, response):
+        return cls(query, frozenset(tokenize(query)), embed(query), response)
+
+
 class TwoDictCache:
     """The cache as a memory LRU dict plus a disk-index dict of the same entries.
 
@@ -288,7 +304,8 @@ class TwoDictCache:
     then semantic over the disk entries not in memory. Appends to the log are
     synchronous. One change from the original: an insert made while degraded
     (or memory-only) drops the disk-index entry for its query, so a stale
-    response cannot come back once the new one is evicted.
+    response cannot come back once the new one is evicted. Entries keep
+    their own token sets and embeddings, computed from the query text.
     """
 
     def __init__(self, capacity, disk_dir=None, config=None):
@@ -300,21 +317,22 @@ class TwoDictCache:
         self._log = None
         self.degraded = disk_dir is None
         if disk_dir is not None:
-            self._log, entries = DiskLog.open(disk_dir)
-            for entry in entries:
-                self._disk_index[entry.query] = entry
+            self._log, records = DiskLog.open(disk_dir)
+            for record in records:
+                self._disk_index[record.query] = _OracleEntry.of(record.query,
+                                                                 record.response)
 
     def insert(self, query, response, category=""):
         existing = self._memory.get(query) or self._disk_index.get(query)
         if existing is not None and existing.response == response:
             self._touch(existing)
             return
-        entry = CacheEntry.build(query, response, category)
+        entry = _OracleEntry.of(query, response)
         self._touch(entry)
         self.stats.inserts += 1
         if self._log is not None and not self.degraded:
             self._disk_index[query] = entry
-            self._log.append(entry)
+            self._log.append(encode_record(CacheEntry.build(query, response, category)))
         else:
             self._disk_index.pop(query, None)
 
@@ -362,14 +380,12 @@ class TwoDictCache:
         return None
 
     def _hit(self, entry, tier, sim):
-        entry.hits += 1
         if tier == "memory":
             self.stats.memory_hits += 1
         else:
             self.stats.disk_hits += 1
         self._touch(entry)
-        return CacheHit(response=entry.response, tier=tier, similarity=sim,
-                        category=entry.category)
+        return CacheHit(response=entry.response, tier=tier, similarity=sim)
 
     def close(self):
         if self._log is not None:

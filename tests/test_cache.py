@@ -1,9 +1,11 @@
 """Tests for similarity math, the two-tier cache, and crash recovery."""
 
 import gc
+import hashlib
 import math
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from oracles import TwoDictCache
 
+import medserve.cache as cache_module
 from medserve.cache import (
+    WRITE_QUEUE_SIZE,
     CacheEntry,
+    CacheHit,
+    DiskLog,
     QueryFeatures,
     SimilarityConfig,
     TwoLevelCache,
@@ -27,7 +33,7 @@ from medserve.cache import (
 token_sets = st.sets(st.sampled_from(["a", "b", "c", "d", "e", "f"]))
 
 
-def _store(cache) -> dict[str, CacheEntry]:
+def _store(cache) -> dict:
     """The cache's stored entries by query, in first-insert (log) order."""
     return {q: cache._row_entries[row] for q, row in cache._row_of.items()}
 
@@ -180,10 +186,10 @@ class TestTwoLevelCache:
     def test_idempotent_reinsert(self, tmp_path):
         with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
             cache.insert("query", "resp", "prevention")
+            entry = _store(cache)["query"]
             cache.lookup("query")
             cache.insert("query", "resp", "prevention")
-            entry = _store(cache)["query"]
-            assert entry.hits == 1
+            assert _store(cache)["query"] is entry
             cache.flush()
             size_before = (tmp_path / "cache.log").stat().st_size
             cache.insert("query", "resp", "prevention")
@@ -249,21 +255,111 @@ class TestTwoLevelCache:
             assert cache.lookup("q") is None
 
     def test_reopen_holds_one_entry_per_query(self, tmp_path):
-        def live_entries():
-            gc.collect()
-            return sum(isinstance(o, CacheEntry) for o in gc.get_objects())
-
+        # the log records are not kept: each query is one row of the store
         with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
             for i in range(50):
                 cache.insert("q", f"response {i}", "diagnosis")
         del cache
-        before = live_entries()
+        gc.collect()
         reopened = TwoLevelCache(capacity=4, disk_dir=tmp_path)
         try:
-            assert live_entries() - before == 1
+            gc.collect()
+            assert not any(isinstance(o, CacheEntry) for o in gc.get_objects())
+            assert len(reopened._row_entries) == 1
+            assert_rows_follow_store(reopened)
             assert reopened.lookup("q").response == "response 49"
         finally:
             reopened.close()
+
+    def test_reopened_entry_ram(self, tmp_path):
+        # 20,000 entries of 8 distinct tokens from a 3,000-word vocabulary,
+        # with 57-character responses; the log holds about 420 bytes of each
+        n = 20_000
+        rng = np.random.default_rng(11)
+        vocab = [f"term{i}" for i in range(3000)]
+        records = []
+        for i in range(n):
+            query = " ".join(vocab[w] for w in rng.choice(3000, size=8, replace=False))
+            response = f"answer {i:05d}: ".ljust(57, "x")
+            records.append(encode_record(CacheEntry.build(query, response, "diagnosis", 0.0)))
+        (tmp_path / "cache.log").write_bytes(b"".join(records))
+        del records
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = TwoLevelCache(capacity=128, disk_dir=tmp_path)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        try:
+            assert len(cache._row_of) == n
+            assert traced / n <= 2000, traced / n
+        finally:
+            cache.close()
+
+    def test_unencodable_insert_refused_and_writer_lives(self, tmp_path):
+        cache = TwoLevelCache(capacity=4, disk_dir=tmp_path)
+        for query, response in (("q1", "bad \ud800 answer"), ("bad \udfff query", "r")):
+            with pytest.raises(ValueError):
+                cache.insert(query, response, "diagnosis")
+            assert cache.lookup(query) is None
+        assert cache.stats.inserts == 0
+        cache.insert("q2", "good answer", "diagnosis")
+        # in threads: with its writer dead, flush and close would block for good
+        for step in (cache.flush, cache.close):
+            thread = threading.Thread(target=step, daemon=True)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), step.__name__
+            assert cache.metrics()["queue_depth"] == 0
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
+            assert list(_store(cache)) == ["q2"]
+
+    def test_full_writer_queue_leaves_inserts_unlogged(self, tmp_path, monkeypatch):
+        release = threading.Event()
+        started = threading.Event()
+        append = DiskLog.append
+
+        def stalled_append(self, record):
+            started.set()
+            release.wait(timeout=30)
+            append(self, record)
+
+        monkeypatch.setattr(DiskLog, "append", stalled_append)
+        cache = TwoLevelCache(capacity=4, disk_dir=tmp_path)
+        try:
+            cache.insert("query 0", "r", "diagnosis")
+            assert started.wait(timeout=10)  # the writer holds record 0
+            extra = 6
+            for i in range(1, WRITE_QUEUE_SIZE + 1 + extra):
+                cache.insert(f"query {i}", "r", "diagnosis")
+                assert cache.metrics()["queue_depth"] <= WRITE_QUEUE_SIZE
+            assert cache.metrics()["queue_depth"] == WRITE_QUEUE_SIZE
+            assert cache.stats.inserts == WRITE_QUEUE_SIZE + 1 + extra
+            assert not cache.degraded
+            # the last inserts were never queued: kept until evicted, then dropped
+            last = f"query {WRITE_QUEUE_SIZE + extra}"
+            assert cache.lookup(last).tier == "memory"
+            assert cache.lookup("query 1").tier == "disk"
+            assert f"query {WRITE_QUEUE_SIZE + 1}" not in cache._row_of
+            release.set()
+            cache.flush()
+            # with room again a new response is logged, so eviction keeps it
+            cache.insert(last, "r2", "diagnosis")
+            for i in range(4):
+                cache.insert(f"later query {i}", "r", "diagnosis")
+            assert cache.lookup(last) == CacheHit("r2", "disk", 1.0)
+        finally:
+            release.set()
+            closer = threading.Thread(target=cache.close)
+            closer.start()
+            closer.join(timeout=30)
+        assert not closer.is_alive()
+        with TwoLevelCache(capacity=4, disk_dir=tmp_path) as cache:
+            assert len(cache._row_of) == WRITE_QUEUE_SIZE + 6
+            assert cache.lookup(last).response == "r2"
 
     def test_memory_only_evicted_entry_misses(self):
         cache = TwoLevelCache(capacity=1, disk_dir=None)
@@ -320,9 +416,9 @@ class TestMatchesTwoDictOracle:
         held = {**oracle._disk_index, **oracle._memory}
         return (
             (cache.stats, list(cache._lru),
-             {q: (e.response, e.category, e.hits) for q, e in _store(cache).items()}),
+             {q: e.response for q, e in _store(cache).items()}),
             (oracle.stats, list(oracle._memory),
-             {q: (e.response, e.category, e.hits) for q, e in held.items()}),
+             {q: e.response for q, e in held.items()}),
         )
 
     @settings(deadline=None, max_examples=200)
@@ -364,15 +460,16 @@ class TestMatchesTwoDictOracle:
 
 
 def assert_rows_follow_store(cache):
-    """Matrix row i holds the embedding of row entry i, the live row entries
-    are the store in log order, and at most half the used rows are dead."""
+    """Matrix row i holds the embedding of row entry i's query, the live row
+    entries are the store in log order, and at most half the used rows are
+    dead."""
     rows = cache._row_entries
     live = [entry for entry in rows if entry is not None]
     assert [e.query for e in live] == list(_store(cache))
     assert all(a is b for a, b in zip(live, _store(cache).values()))
     assert cache._row_of == {e.query: r for r, e in enumerate(rows) if e is not None}
     for row, entry in enumerate(rows):
-        assert entry is None or np.array_equal(cache._matrix[row], entry.embedding), row
+        assert entry is None or np.array_equal(cache._matrix[row], embed(entry.query)), row
     assert len(rows) <= 2 * len(live)
 
 
@@ -523,15 +620,21 @@ class TestCosinePrune:
             finally:
                 oracle.close()
 
-    def test_features_reused_for_insert(self):
+    def test_features_reused_for_insert(self, monkeypatch):
+        calls = []
+
+        def counted_embed(text, tokens=None):
+            calls.append(text)
+            return embed(text, tokens)
+
+        monkeypatch.setattr(cache_module, "embed", counted_embed)
         features = QueryFeatures("Chest pain, chest!", ("chest", "pain", "chest"))
         with TwoLevelCache(4) as cache:
             assert cache.lookup("Chest pain, chest!", features) is None
             cache.insert("Chest pain, chest!", "r", "emergency", features)
-            entry = _store(cache)["Chest pain, chest!"]
-        assert entry.tokens is features.token_set
-        assert entry.embedding is features.embedding
-        assert np.array_equal(entry.embedding, embed("Chest pain, chest!"))
+            assert calls == ["Chest pain, chest!"]
+            assert _store(cache)["Chest pain, chest!"].tokens is features.token_set
+            assert_rows_follow_store(cache)
 
 
 class TestCrashRecovery:
@@ -596,4 +699,15 @@ class TestCrashRecovery:
         assert got.category == entry.category
         assert got.timestamp == 12.5
         assert np.array_equal(got.embedding, entry.embedding)
-        assert got.tokens == entry.tokens
+
+    def test_record_bytes_pinned(self):
+        # the log format: these records' bytes are the ones every earlier
+        # version of the cache wrote, so an existing log keeps reopening
+        entries = [("chest pain at night", "see a doctor", "emergency", 1.5),
+                   ("dose of ibuprofen for children", "10 mg/kg", "medication", 2.25),
+                   ("chest pain at night", "call 911", "emergency", 3.0),
+                   ("fi\u00e8vre et \u00e9ruption", "r\u00e9ponse", "", 4.0)]
+        blob = b"".join(encode_record(CacheEntry.build(*e)) for e in entries)
+        assert len(blob) == 1272
+        assert hashlib.sha256(blob).hexdigest() == (
+            "06660136993081a43efa38b673ca418217727add863df3a645314710d0140249")

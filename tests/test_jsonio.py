@@ -123,6 +123,22 @@ class TestLoads:
             loads(data)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("data, message", [
+        (b'"\\ud800"', "string at $ holds an unpaired surrogate"),
+        (b'{"text": "chest \\ud800 pain"}', "string at $['text'] holds an unpaired surrogate"),
+        (b'{"a": [1, "x\\udfff"]}', "string at $['a'][1] holds an unpaired surrogate"),
+        (b'["\\ude00\\ud83d"]', "string at $[0] holds an unpaired surrogate"),
+        (b'{"k\\udc80": 1}', "string at $['k\\udc80'] holds an unpaired surrogate"),
+    ])
+    def test_unpaired_surrogate_located(self, data, message):
+        # I-JSON (RFC 7493 section 2.1): such a string has no UTF-8 encoding
+        with pytest.raises(InvalidJSON) as info:
+            loads(data)
+        assert str(info.value) == message
+
+    def test_paired_surrogates_decode(self):
+        assert loads(b'{"t": "\\ud83d\\ude00 \\\\ud800"}') == {"t": "\U0001f600 \\ud800"}
+
     def test_valid_document(self):
         assert loads(b'{"text": "NaN \\u00e9", "n": [1, 2.5, null, true]}') == {
             "text": "NaN é", "n": [1, 2.5, None, True]}

@@ -927,6 +927,12 @@ RAW_HEADS = [
                  id="malformed-json"),
     pytest.param(_post_head(b"Content-Length: 12", body=b'{"text": ""}'), 400, "text",
                  id="empty-text"),
+    pytest.param(_post_head(b"Content-Length: 29", body=b'{"text": "chest \\ud800 pain"}'),
+                 400, "string at $['text'] holds an unpaired surrogate",
+                 id="unpaired-surrogate"),  # was: 500, the engine could not encode it
+    pytest.param(_post_head(b"Content-Length: 35",
+                            body=b'{"text": "chest \\ud83d\\ude00 pain"}'), 200, None,
+                 id="paired-surrogates"),
     pytest.param(b"GET /nope HTTP/1.0\r\n\r\n", 404, "not found", id="unknown-path"),
     pytest.param(_post_head(b"Content-Length: 10", body=b'{"te'), 408, "in time",
                  id="stalled-body"),
